@@ -20,7 +20,15 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .data import Dataset, Partition
-from .mlp import ModelParams, loss_and_grad, sgd_step
+from .mlp import (
+    ModelParams,
+    _check_training_batch,
+    _loss_and_grad_into,
+    _prox_into,
+    loss_and_grad,  # noqa: F401  bench/tracer.py traces fedsim.engine.loss_and_grad
+    sgd_step,  # noqa: F401  and fedsim.engine.sgd_step
+    unpack_params,
+)
 from .sampling import SamplingPlan
 
 logger = logging.getLogger(__name__)
@@ -36,10 +44,8 @@ class DivergenceError(RuntimeError):
 class ClientState:
     id: int
     data: np.ndarray
-    params: ModelParams | None = None
     control: np.ndarray | None = None
     cluster: int | None = None
-    local_steps_taken: int = 0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.int64)
@@ -118,6 +124,12 @@ def local_train(
     The learning rate is multiplied by `decay` after each local epoch. SCAFFOLD
     corrects every gradient by (c - c_i) and reports the control-variate delta
     derived from the parameter displacement over the effective last-epoch rate.
+
+    Inputs are validated once, here: the feature width, finite client rows and
+    labels within the model's classes. Every epoch visits every row, so the
+    steps themselves re-check nothing but divergence. A non-finite loss or
+    gradient raises DivergenceError; a finite gradient whose step overflows the
+    parameters, or a learning rate decayed to 0, raises ValueError.
     """
     scaffold = cfg.algorithm == "scaffold"
     if scaffold and server_control is None:
@@ -130,27 +142,41 @@ def local_train(
         )
         correction = server_control - client_control
     prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
-    anchor = global_params if prox_mu > 0 else None
 
+    x, y = _check_training_batch(
+        global_params, dataset.features[client.data], dataset.labels[client.data]
+    )
+    # The loop updates one flat vector in place; per-layer views of it and of
+    # the gradient buffer are what the backprop kernel reads and writes.
+    values = global_params.values.copy()
+    grad = np.empty_like(values)
+    layers = unpack_params(values, global_params.spec)
+    grad_layers = unpack_params(grad, global_params.spec)
     rng = np.random.default_rng([cfg.master_seed, round_idx, client.id])
-    idx = client.data
-    params = global_params.copy()
+    n = len(y)
     lr = cfg.lr
     steps = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(idx.size)
-        for start in range(0, idx.size, cfg.batch_size):
-            sel = idx[order[start : start + cfg.batch_size]]
-            loss, grad = loss_and_grad(
-                params, dataset.features[sel], dataset.labels[sel], prox_mu, anchor
-            )
-            if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            loss = _loss_and_grad_into(layers, grad_layers, x[sel], y[sel])
+            if prox_mu > 0:
+                loss += _prox_into(values, global_params.values, prox_mu, grad)
+            if not math.isfinite(loss):
                 raise DivergenceError(f"client {client.id} diverged in round {round_idx}")
-            if scaffold:
-                grad = grad + correction
-            params = sgd_step(params, grad, lr)
+            values -= lr * (grad + correction if scaffold else grad)
+            # With lr > 0, finite new values imply a finite gradient. The
+            # decayed lr can underflow to 0, which is an error of its own.
+            if not (lr > 0 and np.isfinite(values).all()):
+                if not np.isfinite(grad).all():
+                    raise DivergenceError(f"client {client.id} diverged in round {round_idx}")
+                if not lr > 0:
+                    raise ValueError(f"client {client.id}: learning rate decayed to 0")
+                raise ValueError(f"client {client.id}: SGD step overflowed the parameters")
             steps += 1
         lr *= cfg.decay
+    params = ModelParams(values, global_params.spec)
 
     delta_control = None
     new_control = None
@@ -163,7 +189,7 @@ def local_train(
             raise DivergenceError(f"client {client.id} control variate diverged")
         delta_control = new_control - client_control
 
-    return LocalUpdate(client.id, params, int(idx.size), steps, delta_control, new_control)
+    return LocalUpdate(client.id, params, n, steps, delta_control, new_control)
 
 
 def _sorted_weights(updates: list[LocalUpdate], denominator: str, total_size: int | None):
@@ -304,10 +330,6 @@ def run_round(
     else:
         total = sum(len(c.data) for c in clients)
         new_global = aggregate_fedavg(accepted, cfg.eq1_denominator, total)
-
-    for u in accepted:
-        clients[u.client_id].params = u.new_params
-        clients[u.client_id].local_steps_taken += u.local_steps
 
     if ledger is not None:
         model_bytes = snapshot.spec.num_params * metrics_mod.BYTES_PER_PARAM

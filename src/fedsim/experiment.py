@@ -38,7 +38,14 @@ from .engine import (
     make_clients,
     run_round,
 )
-from .metrics import CostLedger, CostRecord, read_metrics_csv, rounds_to_target, write_metrics_csv
+from .metrics import (
+    BYTES_PER_PARAM,
+    CostLedger,
+    CostRecord,
+    read_metrics_csv,
+    rounds_to_target,
+    write_metrics_csv,
+)
 from .mlp import ModelSpec, forward, init_params
 from .sampling import (
     ClusterAssignment,
@@ -386,7 +393,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "n_clients": cfg.n_clients,
         "budget": cfg.budget,
         "model_params": spec.num_params,
-        "model_bytes": spec.num_params * 4,
+        "model_bytes": spec.num_params * BYTES_PER_PARAM,
         "final_accuracy": history[-1].test_accuracy,
         "final_loss": history[-1].test_loss,
         "total_bytes": ledger.total,

@@ -1,8 +1,12 @@
 """Dense feed-forward classifier operating on a flat float64 parameter vector.
 
 Forward pass, softmax cross-entropy with analytic gradients (optionally with a
-proximal penalty toward an anchor vector), and plain SGD steps. Every function
-is pure over immutable inputs, so clients may train in parallel.
+proximal penalty toward an anchor vector), and plain SGD steps. The public
+functions validate their inputs and return new arrays. Backprop itself is one
+private kernel that writes the gradient into caller-owned buffer views; the
+public `loss_and_grad` wraps it, and `engine.local_train` calls it directly on
+its own per-call buffers, so clients training on separate threads share no
+mutable state.
 """
 
 from __future__ import annotations
@@ -83,14 +87,14 @@ def init_params(spec: ModelSpec, seed) -> ModelParams:
     return ModelParams(np.concatenate(chunks), spec)
 
 
-def unpack_params(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the flat vector as per-layer (W, b) pairs."""
+def unpack_params(values: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of a flat vector laid out like the parameters as per-layer (W, b) pairs."""
     layers = []
     offset = 0
-    for fan_in, fan_out in params.spec.layer_shapes:
-        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+    for fan_in, fan_out in spec.layer_shapes:
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
         offset += fan_in * fan_out
-        b = params.values[offset : offset + fan_out]
+        b = values[offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -107,9 +111,25 @@ def _check_batch(params: ModelParams, batch) -> np.ndarray:
     return x
 
 
-def _activations(params: ModelParams, x: np.ndarray):
+def _check_training_batch(params: ModelParams, batch, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float features and labels for a loss/gradient evaluation.
+
+    The batch must match the model's input width and be finite; labels need
+    one entry per row, each a class index of the model.
+    """
+    x = _check_batch(params, batch)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("batch contains non-finite values")
+    y = np.asarray(labels)
+    if y.shape != (x.shape[0],):
+        raise ValueError("labels must match the batch row count")
+    if y.min() < 0 or y.max() >= params.spec.num_classes:
+        raise ValueError("labels out of range")
+    return x, y
+
+
+def _activations(layers, x: np.ndarray):
     """All post-activation layer inputs plus the output logits."""
-    layers = unpack_params(params)
     acts = [x]
     h = x
     for w, b in layers[:-1]:
@@ -136,14 +156,14 @@ def forward(params: ModelParams, batch) -> tuple[np.ndarray, np.ndarray]:
     For a model without hidden layers the latent is the input itself.
     """
     x = _check_batch(params, batch)
-    acts, logits = _activations(params, x)
+    acts, logits = _activations(unpack_params(params.values, params.spec), x)
     return softmax(logits), acts[-1]
 
 
 def layer_activations(params: ModelParams, batch) -> list[np.ndarray]:
     """Post-activation matrix per layer: hidden ReLU outputs, then softmax output."""
     x = _check_batch(params, batch)
-    acts, logits = _activations(params, x)
+    acts, logits = _activations(unpack_params(params.values, params.spec), x)
     return acts[1:] + [softmax(logits)]
 
 
@@ -155,46 +175,53 @@ def loss_and_grad(
     anchor: ModelParams | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy (plus prox_mu/2·‖params−anchor‖²) and its gradient."""
-    x = _check_batch(params, batch)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("batch contains non-finite values")
-    y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must match the batch row count")
-    if y.min() < 0 or y.max() >= params.spec.num_classes:
-        raise ValueError("labels out of range")
+    x, y = _check_training_batch(params, batch, labels)
     if prox_mu < 0:
         raise ValueError("prox_mu must be >= 0")
     if prox_mu > 0 and anchor is None:
         raise ValueError("prox_mu > 0 requires an anchor")
+    if prox_mu > 0 and anchor.values.shape != params.values.shape:
+        raise ValueError("anchor length must match params")
 
-    layers = unpack_params(params)
-    acts, logits = _activations(params, x)
+    grad = np.empty_like(params.values)
+    loss = _loss_and_grad_into(
+        unpack_params(params.values, params.spec), unpack_params(grad, params.spec), x, y
+    )
+    if prox_mu > 0:
+        loss += _prox_into(params.values, anchor.values, prox_mu, grad)
+    return loss, grad
+
+
+def _loss_and_grad_into(layers, grad_layers, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of (x, y); its gradient overwrites the `grad_layers` views.
+
+    The unchecked backprop kernel: inputs must already be validated.
+    `grad_layers` are (W, b) views of one flat buffer laid out like the
+    parameters.
+    """
+    acts, logits = _activations(layers, x)
     m = x.shape[0]
+    rows = np.arange(m)
     logp = log_softmax(logits)
-    loss = -float(logp[np.arange(m), y].mean())
+    loss = -float(logp[rows, y].mean())
 
-    delta = np.exp(logp)
-    delta[np.arange(m), y] -= 1.0
-    delta /= m
-
-    grads = [None] * len(layers)
-    d = delta
+    d = np.exp(logp)
+    d[rows, y] -= 1.0
+    d /= m
     for li in range(len(layers) - 1, -1, -1):
-        a_prev = acts[li]
-        grads[li] = (a_prev.T @ d, d.sum(axis=0))
+        gw, gb = grad_layers[li]
+        np.matmul(acts[li].T, d, out=gw)
+        d.sum(axis=0, out=gb)
         if li > 0:
             d = (d @ layers[li][0].T) * (acts[li] > 0)
+    return loss
 
-    grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
-    if prox_mu > 0:
-        if anchor.values.shape != params.values.shape:
-            raise ValueError("anchor length must match params")
-        diff = params.values - anchor.values
-        loss += 0.5 * prox_mu * float(diff @ diff)
-        grad += prox_mu * diff
-    return loss, grad
+def _prox_into(values: np.ndarray, anchor: np.ndarray, prox_mu: float, grad: np.ndarray) -> float:
+    """Add prox_mu·(values−anchor) to `grad` in place; return prox_mu/2·‖values−anchor‖²."""
+    diff = values - anchor
+    grad += prox_mu * diff
+    return 0.5 * prox_mu * float(diff @ diff)
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, lr: float) -> ModelParams:

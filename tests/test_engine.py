@@ -1,10 +1,12 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from fedsim import (
     ClientState,
+    DivergenceError,
     LocalUpdate,
     ModelParams,
     ModelSpec,
@@ -15,9 +17,11 @@ from fedsim import (
     aggregate_scaffold,
     init_params,
     local_train,
+    loss_and_grad,
     make_clients,
     partition_dirichlet,
     run_round,
+    sgd_step,
     synth_blobs,
     uniform_sample,
 )
@@ -130,6 +134,131 @@ def test_scaffold_control_update_rule():
     )
     np.testing.assert_allclose(up.new_control, expected_new, atol=1e-12)
     np.testing.assert_allclose(up.delta_control, expected_new - clients[0].control, atol=1e-12)
+
+
+def _reference_local_train(client, ds, g, cfg, round_idx, server_control=None):
+    """local_train written as a plain loop over the public loss_and_grad and sgd_step."""
+    scaffold = cfg.algorithm == "scaffold"
+    prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
+    anchor = g if prox_mu > 0 else None
+    client_control = None
+    if scaffold:
+        client_control = np.zeros_like(g.values) if client.control is None else client.control
+    rng = np.random.default_rng([cfg.master_seed, round_idx, client.id])
+    idx = client.data
+    p = g.copy()
+    lr = cfg.lr
+    steps = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(idx.size)
+        for start in range(0, idx.size, cfg.batch_size):
+            sel = idx[order[start : start + cfg.batch_size]]
+            _, grad = loss_and_grad(p, ds.features[sel], ds.labels[sel], prox_mu, anchor)
+            if scaffold:
+                grad = grad + (server_control - client_control)
+            p = sgd_step(p, grad, lr)
+            steps += 1
+        lr *= cfg.decay
+    new_control = None
+    if scaffold:
+        lr_effective = cfg.lr * cfg.decay ** (cfg.epochs - 1)
+        new_control = client_control - server_control + (g.values - p.values) / (
+            steps * lr_effective
+        )
+    return p, steps, new_control, client_control
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "scaffold", "fednova"])
+def test_local_train_matches_reference_loop(algorithm):
+    spec = ModelSpec((4, 6, 5, 3))
+    ds = synth_blobs(3, 4, 12, 1.0, seed=4)
+    clients = make_clients(partition_dirichlet(ds, 3, 10.0, seed=5))
+    g = init_params(spec, 6)
+    cfg = TrainConfig(
+        algorithm=algorithm, epochs=3, batch_size=5, lr=0.2, decay=0.9,
+        prox_mu=0.7 if algorithm == "fedprox" else 0.0, master_seed=8,
+    )
+    server_control = None
+    if algorithm == "scaffold":
+        rng = np.random.default_rng(9)
+        server_control = rng.normal(scale=0.01, size=spec.num_params)
+        clients[1].control = rng.normal(scale=0.01, size=spec.num_params)
+    assert any(len(c.data) % cfg.batch_size for c in clients)  # a short last batch
+    for client in clients:
+        up = local_train(client, ds, g, cfg, 2, server_control)
+        params, steps, new_control, old_control = _reference_local_train(
+            client, ds, g, cfg, 2, server_control
+        )
+        assert np.array_equal(up.new_params.values, params.values)
+        assert up.local_steps == steps
+        if algorithm == "scaffold":
+            assert np.array_equal(up.new_control, new_control)
+            assert np.array_equal(up.delta_control, new_control - old_control)
+        else:
+            assert up.new_control is None and up.delta_control is None
+
+
+def test_local_train_huge_features_diverge():
+    ds, clients, g = _setup()
+    bad = type(ds)(ds.features * 1e160, ds.labels, ds.num_classes)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        local_train(clients[0], bad, g, cfg, round_idx=1)
+
+
+def test_local_train_prox_term_overflow_diverges():
+    # One full batch per epoch. After the first step the cross-entropy and the
+    # whole gradient stay finite, but the proximal term of the loss overflows.
+    ds = synth_blobs(3, 4, 8, 1.0, seed=0)
+    client = ClientState(0, np.arange(6))
+    g = init_params(SPEC, 2)
+    x, y = ds.features[:6], ds.labels[:6]
+    mu, lr = 1e305, 20.0
+    with np.errstate(all="ignore"):
+        p1 = sgd_step(g, loss_and_grad(g, x, y, mu, g)[1], lr)
+        loss, grad = loss_and_grad(p1, x, y, mu, g)
+        assert not math.isfinite(loss)
+        assert np.all(np.isfinite(grad)) and math.isfinite(loss_and_grad(p1, x, y)[0])
+        cfg = TrainConfig(
+            algorithm="fedprox", prox_mu=mu, epochs=2, batch_size=6, lr=lr, decay=1.0
+        )
+        with pytest.raises(DivergenceError):
+            local_train(client, ds, g, cfg, round_idx=1)
+
+
+def test_local_train_step_overflow_is_a_value_error():
+    # A finite loss and gradient whose step overflows the parameters.
+    ds, clients, g = _setup()
+    big = type(ds)(ds.features * 100.0, ds.labels, ds.num_classes)
+    sel = clients[0].data
+    loss, grad = loss_and_grad(g, big.features[sel], big.labels[sel])
+    assert math.isfinite(loss) and np.all(np.isfinite(grad))
+    cfg = TrainConfig(epochs=1, batch_size=len(sel), lr=1e307)
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+        local_train(clients[0], big, g, cfg, round_idx=1)
+    assert not isinstance(info.value, DivergenceError)
+
+
+def test_local_train_learning_rate_decayed_to_zero_is_a_value_error():
+    # 0.01 · (1e-300)² underflows to 0 at the start of the third epoch.
+    ds, clients, g = _setup()
+    cfg = TrainConfig(epochs=3, batch_size=4, lr=0.01, decay=1e-300)
+    with pytest.raises(ValueError, match="learning rate") as info:
+        local_train(clients[0], ds, g, cfg, round_idx=1)
+    assert not isinstance(info.value, DivergenceError)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_local_train_rejects_non_finite_client_rows(value):
+    ds, clients, g = _setup()
+    features = ds.features.copy()
+    features[clients[0].data[-1], 0] = value
+    bad = type(ds)(features, ds.labels, ds.num_classes)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05)
+    with pytest.raises(ValueError, match="non-finite"):
+        local_train(clients[0], bad, g, cfg, round_idx=1)
+    # Other clients' rows are not this client's concern.
+    local_train(clients[1], bad, g, cfg, round_idx=1)
 
 
 def test_aggregate_fedavg_singleton_and_hand_value():

@@ -1,0 +1,54 @@
+"""Golden bytes: pinned sha256 of the byte-compared run artifacts.
+
+A change that is meant to keep results identical (a refactor or a speed-up of
+the training loop, the similarity build or the aggregators) must leave these
+hashes as they are. A change that alters results on purpose updates them in
+the same commit and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from fedsim import ExperimentConfig, run_experiment
+
+# Acceptance criterion 8's config.
+DETERMINISM = dict(
+    seed=17, n_clients=12, rounds=5, num_classes=5, dim=8, per_class=30,
+    test_per_class=10, partition="quantity", labels_per_client=2,
+    hidden_sizes=[10], sample_ratio=0.5, epochs=2, batch_size=8, lr=0.05,
+    public_count=60, sampler="stratified",
+)
+
+# Acceptance criterion 1's battery config (first seed, stratified), cut to 5 rounds.
+BATTERY = dict(
+    seed=11, n_clients=100, rounds=5, num_classes=10, dim=16, per_class=200,
+    spread=1.5, test_per_class=400, partition="quantity", labels_per_client=2,
+    hidden_sizes=[32], algorithm="fedavg", sampler="stratified", sample_ratio=0.1,
+    epochs=20, batch_size=64, lr=0.5, decay=0.99, round1_participation="sampled",
+)
+
+GOLDEN = {
+    "determinism": (
+        DETERMINISM,
+        "00dafae20dd5770fddb9e6c1d0b01f8ef3ff07c7350e896535a8d234454d8119",
+        "8e12da8732d39b4f97b9e9147f0a2f5484cd2ef213f7092a41d9009f4b232d06",
+    ),
+    "battery": (
+        BATTERY,
+        "fd5613fdfde26b015ac49dc5dbb8c12a8816383d6c548fbcd33766dee4765f88",
+        "fc7b2a2e7ccfc61d375a68db7620aee106a7edaa0c101ceee5cebc6ad6a5e952",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(name, tmp_path):
+    config, metrics_sha, matrix_sha = GOLDEN[name]
+    out = run_experiment(ExperimentConfig(name=name, output_dir=str(tmp_path), **config))
+    assert _sha256(out / "metrics.csv") == metrics_sha
+    assert _sha256(out / "similarity_matrix.csv") == matrix_sha
