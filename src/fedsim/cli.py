@@ -30,8 +30,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raw[key] = value
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
     if args.name is not None:
         raw["name"] = args.name
     if args.output_dir is not None:
@@ -68,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the JSON config file")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--workers", type=int, help="parallel client-training workers")
     run_p.add_argument("--name", help="override the run name")
     run_p.add_argument("--output-dir", help="override the output directory")
     run_p.add_argument(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +44,6 @@ class ClientState:
     id: int
     data: np.ndarray
     control: np.ndarray | None = None
-    cluster: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.int64)
@@ -91,20 +89,23 @@ class TrainConfig:
     eq1_denominator: str = "sampled_sum"
 
     def __post_init__(self):
+        errors: list[str] = []
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm: {self.algorithm!r}")
+            errors.append(f"algorithm: must be one of {ALGORITHMS}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            errors.append("epochs: must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            errors.append("batch_size: must be >= 1")
         if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+            errors.append("lr: must be > 0")
         if not 0 < self.decay <= 1:
-            raise ValueError("decay must be in (0, 1]")
+            errors.append("decay: must be in (0, 1]")
         if self.prox_mu < 0:
-            raise ValueError("prox_mu must be >= 0")
+            errors.append("prox_mu: must be >= 0")
         if self.eq1_denominator not in ("sampled_sum", "global"):
-            raise ValueError("eq1_denominator must be 'sampled_sum' or 'global'")
+            errors.append("eq1_denominator: must be 'sampled_sum' or 'global'")
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 def make_clients(partition: Partition) -> list[ClientState]:
@@ -266,19 +267,12 @@ def aggregate_fednova(global_params: ModelParams, updates: list[LocalUpdate]) ->
     return ModelParams(acc, global_params.spec)
 
 
-def _train_selected(clients, dataset, snapshot, cfg, round_idx, server_control, plan, workers):
-    def one(cid: int) -> LocalUpdate | None:
-        try:
-            return local_train(clients[cid], dataset, snapshot, cfg, round_idx, server_control)
-        except DivergenceError as exc:
-            logger.warning("dropping update: %s", exc)
-            return None
-
-    ids = [int(c) for c in plan.selected]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ids))
-    return [one(cid) for cid in ids]
+def _train_or_drop(client, dataset, snapshot, cfg, round_idx, server_control):
+    try:
+        return local_train(client, dataset, snapshot, cfg, round_idx, server_control)
+    except DivergenceError as exc:
+        logger.warning("dropping update: %s", exc)
+        return None
 
 
 def run_round(
@@ -290,7 +284,6 @@ def run_round(
     *,
     test_data: Dataset | None = None,
     ledger: metrics_mod.CostLedger | None = None,
-    workers: int = 1,
     updates: list[LocalUpdate] | None = None,
 ) -> tuple[ServerState, metrics_mod.RoundMetrics]:
     """Train the sampled clients from one global snapshot, aggregate, and score.
@@ -306,9 +299,10 @@ def run_round(
     snapshot = server.global_params
 
     if updates is None:
-        results = _train_selected(
-            clients, dataset, snapshot, cfg, round_idx, server.server_control, plan, workers
-        )
+        results = [
+            _train_or_drop(clients[c], dataset, snapshot, cfg, round_idx, server.server_control)
+            for c in plan.selected.tolist()
+        ]
     else:
         by_id = {u.client_id: u for u in updates}
         results = [by_id[int(c)] for c in plan.selected]

@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .data import (
     synth_public,
 )
 from .engine import (
-    ALGORITHMS,
     ClientState,
     LocalUpdate,
     ServerState,
@@ -71,6 +71,20 @@ class ConfigError(ValueError):
     """Invalid experiment configuration, with one message per offending field."""
 
 
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON value has a field's annotated type; ints pass as floats."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 @dataclass
 class ExperimentConfig:
     seed: int
@@ -108,12 +122,11 @@ class ExperimentConfig:
     soft_label_reduction: str = "per_sample_mean"
     cluster_k: int | None = None
     public_count: int = 1000
-    workers: int = 1
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(raw) - annotations.keys())
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         missing = [k for k in ("seed", "n_clients", "rounds") if k not in raw]
@@ -121,6 +134,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "; ".join(f"{k}: required field is missing" for k in missing)
             )
+        hints = typing.get_type_hints(cls)
+        wrong = [
+            f"{k}: must be {annotations[k]}, got {type(v).__name__} {v!r}"
+            for k, v in raw.items()
+            if not _fits(v, hints[k])
+        ]
+        if wrong:
+            raise ConfigError("; ".join(wrong))
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -134,6 +155,19 @@ class ExperimentConfig:
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec((self.dim, *self.hidden_sizes, self.num_classes))
+
+    def train_config(self) -> TrainConfig:
+        """The local-training settings; raises ValueError naming each bad field."""
+        return TrainConfig(
+            algorithm=self.algorithm,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            lr=self.lr,
+            decay=self.decay,
+            prox_mu=self.prox_mu,
+            master_seed=self.seed,
+            eq1_denominator=self.eq1_denominator,
+        )
 
     def validate(self) -> None:
         errors: list[str] = []
@@ -171,26 +205,16 @@ class ExperimentConfig:
             errors.append("manual_groups: required when partition is 'manual'")
         if any(h < 1 for h in self.hidden_sizes):
             errors.append("hidden_sizes: all sizes must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            errors.append(f"algorithm: must be one of {ALGORITHMS}")
+        try:
+            self.train_config()
+        except ValueError as exc:
+            errors.append(str(exc))
         if self.sampler not in SAMPLERS:
             errors.append(f"sampler: must be one of {SAMPLERS}")
         if not 0 < self.sample_ratio <= 1:
             errors.append("sample_ratio: must be in (0, 1]")
         elif self.sample_ratio * self.n_clients < 1:
             errors.append("sample_ratio: sample_ratio*n_clients must be >= 1")
-        if self.epochs < 1:
-            errors.append("epochs: must be >= 1")
-        if self.batch_size < 1:
-            errors.append("batch_size: must be >= 1")
-        if not self.lr > 0:
-            errors.append("lr: must be > 0")
-        if not 0 < self.decay <= 1:
-            errors.append("decay: must be in (0, 1]")
-        if self.prox_mu < 0:
-            errors.append("prox_mu: must be >= 0")
-        if self.eq1_denominator not in ("sampled_sum", "global"):
-            errors.append("eq1_denominator: must be 'sampled_sum' or 'global'")
         if self.round1_participation not in ("all", "sampled"):
             errors.append("round1_participation: must be 'all' or 'sampled'")
         if self.soft_label_reduction not in ("per_sample_mean", "mean_distribution"):
@@ -201,8 +225,6 @@ class ExperimentConfig:
             errors.append(f"cluster_k: must be in [1, {self.n_clients}]")
         if self.public_count < 1:
             errors.append("public_count: must be >= 1")
-        if self.workers < 1:
-            errors.append("workers: must be >= 1")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -224,7 +246,6 @@ def preprocess(
     *,
     cluster_k: int | None = None,
     reduction: str = "per_sample_mean",
-    workers: int = 1,
     ledger: CostLedger | None = None,
 ) -> PreprocessResult:
     """One-time clustering pass, run between the first and second rounds.
@@ -237,21 +258,14 @@ def preprocess(
     if len(public) < 1:
         raise ValueError("public dataset is empty")
 
-    def train(client: ClientState) -> LocalUpdate:
-        return local_train(client, dataset, server.global_params, cfg, 1, server.server_control)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            updates = list(pool.map(train, clients))
-    else:
-        updates = [train(c) for c in clients]
-
+    updates = [
+        local_train(c, dataset, server.global_params, cfg, 1, server.server_control)
+        for c in clients
+    ]
     soft = [forward(u.new_params, public.features)[0] for u in updates]
     matrix = build_similarity_matrix(soft, reduction)
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
-    for client, label in zip(clients, assignment.labels):
-        client.cluster = int(label)
 
     cost = None
     if ledger is not None:
@@ -329,16 +343,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     global_params = init_params(spec, [cfg.seed, _INIT_SALT])
     control = np.zeros(spec.num_params) if cfg.algorithm == "scaffold" else None
     server = ServerState(global_params, control, 0, cfg.seed)
-    tc = TrainConfig(
-        algorithm=cfg.algorithm,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        decay=cfg.decay,
-        prox_mu=cfg.prox_mu,
-        master_seed=cfg.seed,
-        eq1_denominator=cfg.eq1_denominator,
-    )
+    tc = cfg.train_config()
 
     ledger = CostLedger()
     history = []
@@ -354,7 +359,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 tc,
                 cluster_k=cfg.cluster_k,
                 reduction=cfg.soft_label_reduction,
-                workers=cfg.workers,
                 ledger=ledger,
             )
             matrix, assignment = pre.matrix, pre.assignment
@@ -373,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
             server, rm = run_round(
                 server, clients, train, plan, tc,
-                test_data=test, ledger=ledger, workers=cfg.workers,
+                test_data=test, ledger=ledger,
             )
         history.append(rm)
         logger.debug("round %d: accuracy=%.4f entropy=%.4f", r, rm.test_accuracy, rm.sample_relative_entropy)

@@ -49,7 +49,6 @@ def comm_cost_step(
     plan: SamplingPlan,
     model_bytes: int,
     algorithm: str,
-    round_idx: int | None = None,
     prior_cumulative: int = 0,
 ) -> CostRecord:
     """Parameter traffic for one round: download + upload per sampled client.
@@ -63,7 +62,7 @@ def comm_cost_step(
     per_client = factor * int(model_bytes)
     n = plan.budget
     return CostRecord(
-        round=plan.round if round_idx is None else round_idx,
+        round=plan.round,
         per_client_down_bytes=per_client,
         per_client_up_bytes=per_client,
         num_clients=n,
@@ -77,7 +76,6 @@ def one_time_cost(
     public_count: int,
     public_dim: int,
     num_classes: int,
-    round_idx: int = 1,
     prior_cumulative: int = 0,
 ) -> CostRecord:
     """Probe-set download plus soft-label upload, paid once by every client."""
@@ -85,7 +83,7 @@ def one_time_cost(
     soft_bytes = public_count * num_classes * BYTES_PER_FEATURE
     total = num_clients * (public_bytes + soft_bytes)
     return CostRecord(
-        round=round_idx,
+        round=1,
         per_client_down_bytes=0,
         per_client_up_bytes=0,
         num_clients=num_clients,
@@ -118,11 +116,10 @@ class CostLedger:
         return rec
 
     def record_one_time(
-        self, num_clients: int, public_count: int, public_dim: int, num_classes: int,
-        round_idx: int = 1,
+        self, num_clients: int, public_count: int, public_dim: int, num_classes: int
     ) -> CostRecord:
         rec = one_time_cost(
-            num_clients, public_count, public_dim, num_classes, round_idx, self.total
+            num_clients, public_count, public_dim, num_classes, prior_cumulative=self.total
         )
         self.records.append(rec)
         return rec

@@ -5,8 +5,7 @@ proximal penalty toward an anchor vector), and plain SGD steps. The public
 functions validate their inputs and return new arrays. Backprop itself is one
 private kernel that writes the gradient into caller-owned buffer views; the
 public `loss_and_grad` wraps it, and `engine.local_train` calls it directly on
-its own per-call buffers, so clients training on separate threads share no
-mutable state.
+its own per-call buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class ModelSpec:
     """Layer widths from input to output; hidden layers are ReLU, output is softmax."""
 
     layer_sizes: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -35,8 +33,6 @@ class ModelSpec:
             raise ValueError(f"layer sizes must be positive, got {sizes}")
         if sizes[-1] < 2:
             raise ValueError("output layer needs at least 2 classes")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
 
     @property
     def input_dim(self) -> int:

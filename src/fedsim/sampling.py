@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import largest_remainder
 from .mlp import PROB_FLOOR
 
 
@@ -186,32 +187,14 @@ def kmeans_cluster(
     return ClusterAssignment(best_labels, k, best_inertia)
 
 
-def _quota_largest_remainder(reals: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
-    """Largest-remainder rounding with per-entry caps; ties go to the lower id."""
-    quotas = np.minimum(np.floor(reals).astype(np.int64), caps)
-    remaining = total - int(quotas.sum())
-    order = np.argsort(-(reals - np.floor(reals)), kind="stable")
-    while remaining > 0:
-        progressed = False
-        for i in order:
-            if remaining == 0:
-                break
-            if quotas[i] < caps[i]:
-                quotas[i] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise ValueError("quota capacity exhausted")
-    return quotas
-
-
 def stratified_sample(assign: ClusterAssignment, budget: int, round_idx: int, seed) -> SamplingPlan:
     """Proportional per-cluster quotas, then seeded uniform picks inside each cluster."""
     n = assign.num_clients
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in [1, {n}]")
     sizes = assign.sizes()
-    quotas = _quota_largest_remainder(budget * sizes / n, budget, sizes)
+    # budget <= n keeps every real share, and so its ceiling, within the cluster's size.
+    quotas = largest_remainder(budget * sizes / n, budget)
     rng = np.random.default_rng([_as_seed(seed), round_idx, 1])
     selected: list[int] = []
     for c in range(assign.k):

@@ -410,23 +410,6 @@ def test_run_round_deterministic_and_increments_round():
     assert a_rm == b_rm
 
 
-def test_run_round_workers_match_serial():
-    ds, clients, g = _setup(n_clients=6, per_class=10)
-    cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05, master_seed=33)
-    plan = uniform_sample(len(clients), 4, 1, 33)
-
-    def once(workers):
-        local = [ClientState(c.id, c.data.copy()) for c in clients]
-        server = ServerState(g)
-        s2, rm = run_round(server, local, ds, plan, cfg, test_data=ds, workers=workers)
-        return s2.global_params.values, rm
-
-    serial_params, serial_rm = once(1)
-    parallel_params, parallel_rm = once(3)
-    assert np.array_equal(serial_params, parallel_params)
-    assert serial_rm == parallel_rm
-
-
 def test_run_round_loss_decreases_in_median_over_seeds():
     # Full participation, near-iid shards, one epoch: the aggregated model's
     # loss after the round beats the initial model's loss for most seeds.

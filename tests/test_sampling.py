@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import (
     ClusterAssignment,
@@ -203,19 +205,18 @@ def test_stratified_quota_tie_break_low_cluster_id():
     assert plan.per_cluster_quota == [1, 0, 1]
 
 
-def test_stratified_quota_sums_and_caps_random():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        k = int(rng.integers(1, 6))
-        sizes = rng.integers(1, 9, size=k)
-        labels = np.repeat(np.arange(k), sizes)
-        n = labels.size
-        budget = int(rng.integers(1, n + 1))
-        plan = stratified_sample(ClusterAssignment(labels, k), budget, 0, 3)
-        quotas = np.array(plan.per_cluster_quota)
-        assert quotas.sum() == budget
-        assert np.all(quotas <= sizes)
-        assert plan.selected.size == budget
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 5000), min_size=1, max_size=40), st.data())
+def test_stratified_quota_sums_and_caps_random(sizes, data):
+    k, n = len(sizes), sum(sizes)
+    budget = data.draw(st.integers(1, n))
+    plan = stratified_sample(ClusterAssignment(np.repeat(np.arange(k), sizes), k), budget, 0, 3)
+    quotas = plan.per_cluster_quota
+    assert sum(quotas) == budget == plan.selected.size
+    for q, size in zip(quotas, sizes):
+        # Each quota rounds its exact share budget*size/n down or up.
+        assert q <= size
+        assert budget * size // n <= q <= -(-budget * size // n)
 
 
 def test_stratified_full_budget_selects_everyone():
