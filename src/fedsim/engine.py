@@ -86,7 +86,6 @@ class TrainConfig:
     decay: float = 0.99
     prox_mu: float = 0.0
     master_seed: int = 0
-    eq1_denominator: str = "sampled_sum"
 
     def __post_init__(self):
         errors: list[str] = []
@@ -102,8 +101,6 @@ class TrainConfig:
             errors.append("decay: must be in (0, 1]")
         if self.prox_mu < 0:
             errors.append("prox_mu: must be >= 0")
-        if self.eq1_denominator not in ("sampled_sum", "global"):
-            errors.append("eq1_denominator: must be 'sampled_sum' or 'global'")
         if errors:
             raise ValueError("; ".join(errors))
 
@@ -193,28 +190,18 @@ def local_train(
     return LocalUpdate(client.id, params, n, steps, delta_control, new_control)
 
 
-def _sorted_weights(updates: list[LocalUpdate], denominator: str, total_size: int | None):
-    """Updates in client-id order with exact-integer sample weights."""
+def _sorted_weights(updates: list[LocalUpdate]):
+    """Updates in client-id order, their exact-integer sample counts and the counts' sum."""
     if not updates:
         raise ValueError("no updates to aggregate")
     ups = sorted(updates, key=lambda u: u.client_id)
     sizes = [int(u.num_samples) for u in ups]
-    if denominator == "global":
-        if total_size is None:
-            raise ValueError("global denominator needs the total dataset size")
-        denom = int(total_size)
-    else:
-        denom = sum(sizes)
-    return ups, sizes, denom
+    return ups, sizes, sum(sizes)
 
 
-def aggregate_fedavg(
-    updates: list[LocalUpdate],
-    denominator: str = "sampled_sum",
-    total_size: int | None = None,
-) -> ModelParams:
-    """Sample-count-weighted mean of the uploaded parameters."""
-    ups, sizes, denom = _sorted_weights(updates, denominator, total_size)
+def aggregate_fedavg(updates: list[LocalUpdate]) -> ModelParams:
+    """Mean of the uploaded parameters, each weighted by its share of the sampled samples."""
+    ups, sizes, denom = _sorted_weights(updates)
     acc = np.zeros_like(ups[0].new_params.values)
     for u, sz in zip(ups, sizes):
         acc += (sz / denom) * u.new_params.values
@@ -222,17 +209,13 @@ def aggregate_fedavg(
 
 
 def aggregate_scaffold(
-    server: ServerState,
-    updates: list[LocalUpdate],
-    total_clients: int,
-    denominator: str = "sampled_sum",
-    total_size: int | None = None,
+    server: ServerState, updates: list[LocalUpdate], total_clients: int
 ) -> tuple[ModelParams, np.ndarray]:
-    """FedAvg parameters plus the server control moved by |s|/N times the mean delta."""
+    """`aggregate_fedavg` parameters plus the server control moved by |s|/N times the mean delta."""
     ups = sorted(updates, key=lambda u: u.client_id)
     if any(u.delta_control is None for u in ups):
         raise ValueError("scaffold aggregation needs delta_control on every update")
-    params = aggregate_fedavg(ups, denominator, total_size)
+    params = aggregate_fedavg(ups)
     control = (
         np.zeros_like(server.global_params.values)
         if server.server_control is None
@@ -250,7 +233,7 @@ def aggregate_fednova(global_params: ModelParams, updates: list[LocalUpdate]) ->
     and tau_eff = sum_i p_i tau_i. Coefficients are reduced as exact rationals so
     the equal-steps case degenerates to the fedavg weighted mean bit for bit.
     """
-    ups, sizes, denom = _sorted_weights(updates, "sampled_sum", None)
+    ups, sizes, denom = _sorted_weights(updates)
     taus = [int(u.local_steps) for u in ups]
     if any(t < 1 for t in taus):
         raise ValueError("every update needs local_steps >= 1")
@@ -313,17 +296,13 @@ def run_round(
         logger.warning("round %d: every update diverged; global model unchanged", round_idx)
         new_global = snapshot
     elif cfg.algorithm == "scaffold":
-        total = sum(len(c.data) for c in clients)
-        new_global, new_control = aggregate_scaffold(
-            server, accepted, len(clients), cfg.eq1_denominator, total
-        )
+        new_global, new_control = aggregate_scaffold(server, accepted, len(clients))
         for u in accepted:
             clients[u.client_id].control = u.new_control
     elif cfg.algorithm == "fednova":
         new_global = aggregate_fednova(snapshot, accepted)
     else:
-        total = sum(len(c.data) for c in clients)
-        new_global = aggregate_fedavg(accepted, cfg.eq1_denominator, total)
+        new_global = aggregate_fedavg(accepted)
 
     if ledger is not None:
         model_bytes = snapshot.spec.num_params * metrics_mod.BYTES_PER_PARAM

@@ -41,7 +41,6 @@ from .engine import (
 from .metrics import (
     BYTES_PER_PARAM,
     CostLedger,
-    CostRecord,
     read_metrics_csv,
     rounds_to_target,
     write_metrics_csv,
@@ -72,7 +71,7 @@ class ConfigError(ValueError):
 
 
 def _fits(value, hint) -> bool:
-    """Whether a decoded JSON value has a field's annotated type; ints pass as floats."""
+    """Whether a value has a field's annotated type; ints pass as floats, bools never as numbers."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
         return any(_fits(value, h) for h in args)
@@ -117,16 +116,13 @@ class ExperimentConfig:
     lr: float = 0.01
     decay: float = 0.99
     prox_mu: float = 0.0
-    eq1_denominator: str = "sampled_sum"
     round1_participation: str = "all"
-    soft_label_reduction: str = "per_sample_mean"
     cluster_k: int | None = None
     public_count: int = 1000
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - annotations.keys())
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         missing = [k for k in ("seed", "n_clients", "rounds") if k not in raw]
@@ -134,14 +130,6 @@ class ExperimentConfig:
             raise ConfigError(
                 "; ".join(f"{k}: required field is missing" for k in missing)
             )
-        hints = typing.get_type_hints(cls)
-        wrong = [
-            f"{k}: must be {annotations[k]}, got {type(v).__name__} {v!r}"
-            for k, v in raw.items()
-            if not _fits(v, hints[k])
-        ]
-        if wrong:
-            raise ConfigError("; ".join(wrong))
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -153,9 +141,6 @@ class ExperimentConfig:
     def budget(self) -> int:
         return min(self.n_clients, max(1, int(round(self.sample_ratio * self.n_clients))))
 
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec((self.dim, *self.hidden_sizes, self.num_classes))
-
     def train_config(self) -> TrainConfig:
         """The local-training settings; raises ValueError naming each bad field."""
         return TrainConfig(
@@ -166,13 +151,23 @@ class ExperimentConfig:
             decay=self.decay,
             prox_mu=self.prox_mu,
             master_seed=self.seed,
-            eq1_denominator=self.eq1_denominator,
         )
 
     def validate(self) -> None:
+        """Check every field's type against its annotation, then its value.
+
+        Raises one ConfigError naming each offending field. The value checks
+        run only once every type is right, since they compare and index.
+        """
+        hints = typing.get_type_hints(type(self))
+        wrong = [
+            f"{f.name}: must be {f.type}, got {type(v).__name__} {v!r}"
+            for f in dataclasses.fields(self)
+            if not _fits(v := getattr(self, f.name), hints[f.name])
+        ]
+        if wrong:
+            raise ConfigError("; ".join(wrong))
         errors: list[str] = []
-        if not isinstance(self.seed, int):
-            errors.append("seed: must be an integer (wall-clock seeding is not allowed)")
         if self.n_clients < 1:
             errors.append("n_clients: must be >= 1")
         if self.rounds < 1:
@@ -217,10 +212,6 @@ class ExperimentConfig:
             errors.append("sample_ratio: sample_ratio*n_clients must be >= 1")
         if self.round1_participation not in ("all", "sampled"):
             errors.append("round1_participation: must be 'all' or 'sampled'")
-        if self.soft_label_reduction not in ("per_sample_mean", "mean_distribution"):
-            errors.append(
-                "soft_label_reduction: must be 'per_sample_mean' or 'mean_distribution'"
-            )
         if self.cluster_k is not None and not 1 <= self.cluster_k <= self.n_clients:
             errors.append(f"cluster_k: must be in [1, {self.n_clients}]")
         if self.public_count < 1:
@@ -234,7 +225,6 @@ class PreprocessResult:
     matrix: np.ndarray
     assignment: ClusterAssignment
     updates: list[LocalUpdate]
-    cost: CostRecord | None = None
 
 
 def preprocess(
@@ -245,15 +235,16 @@ def preprocess(
     cfg: TrainConfig,
     *,
     cluster_k: int | None = None,
-    reduction: str = "per_sample_mean",
     ledger: CostLedger | None = None,
 ) -> PreprocessResult:
     """One-time clustering pass, run between the first and second rounds.
 
     Every client trains a copy of the initial global model, predicts soft
     labels on the shared probe set, and "uploads" them; the server builds the
-    KL similarity matrix and clusters its rows. Client training here doubles
-    as the clients' round-1 local training (same seeds, same schedule).
+    KL similarity matrix (`build_similarity_matrix`: per-sample KL averaged
+    over the probe set) and clusters its rows. Client training here doubles
+    as the clients' round-1 local training (same seeds, same schedule). The
+    one-time probe download and soft-label upload go on `ledger` if given.
     """
     if len(public) < 1:
         raise ValueError("public dataset is empty")
@@ -263,16 +254,13 @@ def preprocess(
         for c in clients
     ]
     soft = [forward(u.new_params, public.features)[0] for u in updates]
-    matrix = build_similarity_matrix(soft, reduction)
+    matrix = build_similarity_matrix(soft)
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
 
-    cost = None
     if ledger is not None:
-        cost = ledger.record_one_time(
-            len(clients), len(public), public.dim, dataset.num_classes
-        )
-    return PreprocessResult(matrix, assignment, updates, cost)
+        ledger.record_one_time(len(clients), len(public), public.dim, dataset.num_classes)
+    return PreprocessResult(matrix, assignment, updates)
 
 
 def _split_holdout(ds: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
@@ -347,45 +335,28 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     ledger = CostLedger()
     history = []
-    matrix = None
-    assignment = None
+    pre = None
+    if cfg.sampler == "stratified":
+        pre = preprocess(clients, train, public, server, tc, cluster_k=cfg.cluster_k, ledger=ledger)
     for r in range(1, cfg.rounds + 1):
-        if cfg.sampler == "stratified" and r == 1:
-            pre = preprocess(
-                clients,
-                train,
-                public,
-                server,
-                tc,
-                cluster_k=cfg.cluster_k,
-                reduction=cfg.soft_label_reduction,
-                ledger=ledger,
-            )
-            matrix, assignment = pre.matrix, pre.assignment
-            if cfg.round1_participation == "all":
-                plan = SamplingPlan(1, np.arange(cfg.n_clients))
-            else:
-                plan = uniform_sample(cfg.n_clients, cfg.budget, 1, cfg.seed)
-            server, rm = run_round(
-                server, clients, train, plan, tc,
-                test_data=test, ledger=ledger, updates=pre.updates,
-            )
+        if pre is None or (r == 1 and cfg.round1_participation == "sampled"):
+            plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
+        elif r == 1:
+            plan = SamplingPlan(1, np.arange(cfg.n_clients))
         else:
-            if cfg.sampler == "stratified":
-                plan = stratified_sample(assignment, cfg.budget, r, cfg.seed)
-            else:
-                plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
-            server, rm = run_round(
-                server, clients, train, plan, tc,
-                test_data=test, ledger=ledger,
-            )
+            plan = stratified_sample(pre.assignment, cfg.budget, r, cfg.seed)
+        # Round 1 aggregates the pre-pass's local training (same seeds) instead of retraining.
+        updates = pre.updates if pre is not None and r == 1 else None
+        server, rm = run_round(
+            server, clients, train, plan, tc, test_data=test, ledger=ledger, updates=updates
+        )
         history.append(rm)
         logger.debug("round %d: accuracy=%.4f entropy=%.4f", r, rm.test_accuracy, rm.sample_relative_entropy)
 
     write_metrics_csv(history, out / "metrics.csv")
-    if assignment is not None:
-        assignment.save_json(out / "clusters.json")
-        save_matrix_csv(matrix, out / "similarity_matrix.csv")
+    if pre is not None:
+        pre.assignment.save_json(out / "clusters.json")
+        save_matrix_csv(pre.matrix, out / "similarity_matrix.csv")
 
     entropies = [m.sample_relative_entropy for m in history]
     summary = {
@@ -405,7 +376,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "recurring_bytes": ledger.recurring_total,
         "mean_entropy": float(np.mean(entropies)),
         "mean_entropy_after_round1": float(np.mean(entropies[1:])) if len(entropies) > 1 else None,
-        "cluster_count": assignment.k if assignment is not None else None,
+        "cluster_count": pre.assignment.k if pre is not None else None,
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return out

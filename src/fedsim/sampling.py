@@ -18,6 +18,9 @@ import numpy as np
 from .data import largest_remainder
 from .mlp import PROB_FLOOR
 
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
+
 
 @dataclass
 class ClusterAssignment:
@@ -95,12 +98,11 @@ def kl_divergence(p, q) -> float:
     return max(val, 0.0)
 
 
-def build_similarity_matrix(soft_labels, reduction: str = "per_sample_mean") -> np.ndarray:
+def build_similarity_matrix(soft_labels) -> np.ndarray:
     """n x n matrix of pairwise KL divergences between clients' soft labels.
 
-    With `per_sample_mean` the (i, j) entry is the mean over probe samples of
-    KL(row of client i || row of client j); with `mean_distribution` each
-    client is first reduced to its mean output distribution.
+    The (i, j) entry is the mean over probe samples of
+    KL(row of client i || row of client j).
     """
     mats = [np.asarray(s, dtype=np.float64) for s in soft_labels]
     n = len(mats)
@@ -112,20 +114,11 @@ def build_similarity_matrix(soft_labels, reduction: str = "per_sample_mean") -> 
     for i, m in enumerate(mats):
         _check_distribution(m, f"soft labels of client {i}")
 
-    if reduction == "mean_distribution":
-        rows = _floor_rows(np.stack([m.mean(axis=0) for m in mats]))
-        logs = np.log(rows)
-        self_term = np.sum(rows * logs, axis=1)
-        matrix = self_term[:, None] - rows @ logs.T
-    elif reduction == "per_sample_mean":
-        probs = _floor_rows(np.stack(mats))
-        logs = np.log(probs)
-        self_term = np.einsum("imk,imk->i", probs, logs)
-        cross = np.einsum("imk,jmk->ij", probs, logs)
-        matrix = (self_term[:, None] - cross) / shape[0]
-    else:
-        raise ValueError(f"unknown reduction: {reduction!r}")
-
+    probs = _floor_rows(np.stack(mats))
+    logs = np.log(probs)
+    self_term = np.einsum("imk,imk->i", probs, logs)
+    cross = np.einsum("imk,jmk->ij", probs, logs)
+    matrix = (self_term[:, None] - cross) / shape[0]
     matrix = np.maximum(matrix, 0.0)
     np.fill_diagonal(matrix, 0.0)
     return matrix
@@ -168,10 +161,8 @@ def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: 
     return labels, history[-1], history
 
 
-def kmeans_cluster(
-    matrix, k: int, seed, max_iter: int = 300, n_init: int = 10
-) -> ClusterAssignment:
-    """Seeded k-means over the similarity-matrix rows, best of `n_init` restarts."""
+def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
+    """Seeded k-means over the similarity-matrix rows, best of `KMEANS_RESTARTS` restarts."""
     points = np.asarray(matrix, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("matrix must be 2-d")
@@ -180,8 +171,8 @@ def kmeans_cluster(
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_init):
-        labels, inertia, _ = _lloyd_once(points, k, rng, max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        labels, inertia, _ = _lloyd_once(points, k, rng, KMEANS_MAX_ITER)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return ClusterAssignment(best_labels, k, best_inertia)

@@ -294,16 +294,6 @@ def test_aggregate_fedavg_empty_rejected_and_order_independent():
     assert np.array_equal(forward_order.values, backward_order.values)
 
 
-def test_aggregate_fedavg_global_denominator_shrinks():
-    spec = ModelSpec((2, 2))
-    n = spec.num_params
-    ups = [_update(0, np.full(n, 2.0), 5, 2, spec)]
-    sampled = aggregate_fedavg(ups, "sampled_sum")
-    shrunk = aggregate_fedavg(ups, "global", total_size=10)
-    assert np.allclose(sampled.values, 2.0)
-    assert np.allclose(shrunk.values, 1.0)
-
-
 def test_aggregate_scaffold_zero_deltas_keep_control():
     spec = ModelSpec((2, 2))
     n = spec.num_params

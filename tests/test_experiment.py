@@ -119,10 +119,20 @@ def test_config_rejects_unknown_and_missing_keys():
     assert "seed" in str(err.value)
 
 
-def test_config_rejects_removed_workers_key():
+@pytest.mark.parametrize("key", ["workers", "eq1_denominator", "soft_label_reduction"])
+def test_config_rejects_removed_workers_key(key):
     with pytest.raises(ConfigError) as err:
-        ExperimentConfig.from_dict({"seed": 1, "n_clients": 2, "rounds": 1, "workers": 1})
-    assert "workers" in str(err.value)
+        ExperimentConfig.from_dict({"seed": 1, "n_clients": 2, "rounds": 1, key: 1})
+    assert key in str(err.value)
+
+
+def test_python_built_config_is_type_checked_before_any_output(tmp_path):
+    out_dir = tmp_path / "runs"
+    cfg = ExperimentConfig(seed=1, n_clients="10", rounds=1, output_dir=str(out_dir))
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    assert str(err.value).startswith("n_clients: must be int")
+    assert not out_dir.exists()
 
 
 def test_csv_dataset_end_to_end(tmp_path):

@@ -18,7 +18,6 @@ from fedsim import (
     sample_relative_entropy,
     synth_blobs,
 )
-from fedsim.data import BLOB_RADIUS, Dataset
 from fedsim.metrics import (
     RoundMetrics,
     one_time_cost,

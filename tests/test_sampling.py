@@ -89,15 +89,6 @@ def test_similarity_matches_pairwise_kl_loop():
             assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-def test_similarity_mean_distribution_mode():
-    rng = np.random.default_rng(4)
-    rows = rng.dirichlet(np.ones(4), size=10)
-    m = build_similarity_matrix([rows, rows.copy()], reduction="mean_distribution")
-    assert np.array_equal(m, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        build_similarity_matrix([rows], reduction="nope")
-
-
 def test_similarity_nonnegative_zero_diagonal():
     rng = np.random.default_rng(5)
     soft = [rng.dirichlet(np.ones(6), size=12) for _ in range(7)]
