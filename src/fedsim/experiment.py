@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -31,12 +32,14 @@ from .data import (
 )
 from .engine import (
     ClientState,
+    DivergenceError,
     LocalUpdate,
     ServerState,
     TrainConfig,
-    local_train,
+    local_train,  # noqa: F401  bench/tracer.py traces fedsim.experiment.local_train
     make_clients,
     run_round,
+    train_clients,
 )
 from .metrics import (
     BYTES_PER_PARAM,
@@ -153,6 +156,34 @@ class ExperimentConfig:
             master_seed=self.seed,
         )
 
+    def _manual_group_errors(self) -> list[str]:
+        """Each group must be a [count >= 1, [labels]] pair; together they define n_clients."""
+        if not self.manual_groups:
+            return ["manual_groups: required when partition is 'manual'"]
+        # Synthetic data has num_classes classes; a CSV's are known once it is read.
+        top = math.inf if self.csv_path is not None else self.num_classes
+        shape = "[count >= 1, [labels >= 0]]" if top == math.inf else (
+            f"[count >= 1, [labels in 0..{top - 1}]]"
+        )
+        errors = []
+        for i, group in enumerate(self.manual_groups):
+            pair = isinstance(group, (list, tuple)) and len(group) == 2
+            if not (
+                pair and _fits(group[0], int) and group[0] >= 1
+                and isinstance(group[1], (list, tuple)) and len(group[1]) > 0
+                and all(_fits(lb, int) and 0 <= lb < top for lb in group[1])
+            ):
+                errors.append(f"manual_groups: entry {i} must be a {shape} pair, got {group!r}")
+        if errors:
+            return errors
+        labels = [lb for _, group_labels in self.manual_groups for lb in group_labels]
+        if len(set(labels)) < len(labels):
+            return ["manual_groups: a label appears in two groups"]
+        total = sum(count for count, _ in self.manual_groups)
+        if total != self.n_clients:
+            return [f"manual_groups: groups define {total} clients, expected {self.n_clients}"]
+        return []
+
     def validate(self) -> None:
         """Check every field's type against its annotation, then its value.
 
@@ -196,8 +227,8 @@ class ExperimentConfig:
                     "labels_per_client: infeasible, n_clients*labels_per_client "
                     f"= {self.n_clients * self.labels_per_client} < {self.num_classes} classes"
                 )
-        if self.partition == "manual" and not self.manual_groups:
-            errors.append("manual_groups: required when partition is 'manual'")
+        if self.partition == "manual":
+            errors.extend(self._manual_group_errors())
         if any(h < 1 for h in self.hidden_sizes):
             errors.append("hidden_sizes: all sizes must be >= 1")
         try:
@@ -249,10 +280,10 @@ def preprocess(
     if len(public) < 1:
         raise ValueError("public dataset is empty")
 
-    updates = [
-        local_train(c, dataset, server.global_params, cfg, 1, server.server_control)
-        for c in clients
-    ]
+    updates = train_clients(clients, dataset, server.global_params, cfg, 1, server.server_control)
+    diverged = [c.id for c, u in zip(clients, updates) if u is None]
+    if diverged:
+        raise DivergenceError(f"clients {diverged} diverged in the clustering pre-pass")
     soft = [forward(u.new_params, public.features)[0] for u in updates]
     matrix = build_similarity_matrix(soft)
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
@@ -307,13 +338,7 @@ def _build_partition(cfg: ExperimentConfig, train: Dataset) -> Partition:
         return partition_dirichlet(train, cfg.n_clients, cfg.beta, seed)
     if cfg.partition == "quantity":
         return partition_quantity(train, cfg.n_clients, cfg.labels_per_client, seed)
-    groups = [(int(count), [int(lb) for lb in labels]) for count, labels in cfg.manual_groups]
-    part = partition_manual(train, groups)
-    if part.num_clients != cfg.n_clients:
-        raise ConfigError(
-            f"manual_groups: groups define {part.num_clients} clients, expected {cfg.n_clients}"
-        )
-    return part
+    return partition_manual(train, cfg.manual_groups)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:

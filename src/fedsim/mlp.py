@@ -4,8 +4,8 @@ Forward pass, softmax cross-entropy with analytic gradients (optionally with a
 proximal penalty toward an anchor vector), and plain SGD steps. The public
 functions validate their inputs and return new arrays. Backprop itself is one
 private kernel that writes the gradient into caller-owned buffer views; the
-public `loss_and_grad` wraps it, and `engine.local_train` calls it directly on
-its own per-call buffers.
+public `loss_and_grad` wraps it. `engine.train_clients` runs the same
+arithmetic, operation for operation, on stacks of clients.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax over the last axis (a batch, or a stack of batches)."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def forward(params: ModelParams, batch) -> tuple[np.ndarray, np.ndarray]:

@@ -114,12 +114,17 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     for i, m in enumerate(mats):
         _check_distribution(m, f"soft labels of client {i}")
 
-    probs = _floor_rows(np.stack(mats))
+    # One owned stack: floored and renormalised in place, like `_floor_rows`.
+    probs = np.stack(mats)
+    del mats
+    np.maximum(probs, PROB_FLOOR, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     logs = np.log(probs)
     self_term = np.einsum("imk,imk->i", probs, logs)
-    cross = np.einsum("imk,jmk->ij", probs, logs)
-    matrix = (self_term[:, None] - cross) / shape[0]
-    matrix = np.maximum(matrix, 0.0)
+    matrix = np.einsum("imk,jmk->ij", probs, logs)
+    np.subtract(self_term[:, None], matrix, out=matrix)
+    matrix /= shape[0]
+    np.maximum(matrix, 0.0, out=matrix)
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
@@ -132,17 +137,13 @@ def default_cluster_count(n: int) -> int:
 
 
 def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
-    """One restart of Lloyd's algorithm; returns labels, inertia, inertia history."""
+    """One restart of Lloyd's algorithm; returns labels and inertia."""
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     labels = np.full(n, -1, dtype=np.int64)
-    history: list[float] = []
+    norms = (points * points).sum(axis=1)[:, None]
     for _ in range(max_iter):
-        d2 = (
-            (points * points).sum(axis=1)[:, None]
-            + (centers * centers).sum(axis=1)[None, :]
-            - 2.0 * points @ centers.T
-        )
+        d2 = norms + (centers * centers).sum(axis=1)[None, :] - 2.0 * points @ centers.T
         np.maximum(d2, 0.0, out=d2)
         new_labels = np.argmin(d2, axis=1)
         own = d2[np.arange(n), new_labels]
@@ -155,10 +156,9 @@ def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: 
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
         centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
-        history.append(float(((points - centers[labels]) ** 2).sum()))
         if converged:
             break
-    return labels, history[-1], history
+    return labels, float(((points - centers[labels]) ** 2).sum())
 
 
 def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
@@ -172,7 +172,7 @@ def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        labels, inertia, _ = _lloyd_once(points, k, rng, KMEANS_MAX_ITER)
+        labels, inertia = _lloyd_once(points, k, rng, KMEANS_MAX_ITER)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return ClusterAssignment(best_labels, k, best_inertia)
@@ -211,5 +211,8 @@ def _as_seed(seed) -> int:
 
 
 def save_matrix_csv(matrix, path) -> None:
-    """CSV grid at full float64 precision."""
-    np.savetxt(path, np.asarray(matrix, dtype=np.float64), delimiter=",", fmt="%.17g")
+    """CSV grid at full float64 precision (the bytes of `np.savetxt(..., fmt="%.17g")`)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    line = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(line % tuple(row) for row in matrix.tolist())

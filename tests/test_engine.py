@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fedsim.engine as engine_mod
 from fedsim import (
     ClientState,
     DivergenceError,
@@ -23,6 +26,7 @@ from fedsim import (
     run_round,
     sgd_step,
     synth_blobs,
+    train_clients,
     uniform_sample,
 )
 from fedsim.sampling import SamplingPlan
@@ -196,6 +200,75 @@ def test_local_train_matches_reference_loop(algorithm):
             assert np.array_equal(up.delta_control, new_control - old_control)
         else:
             assert up.new_control is None and up.delta_control is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    batch_size=st.integers(1, 16),
+    epochs=st.integers(1, 3),
+    algorithm=st.sampled_from(["fedavg", "fedprox", "scaffold", "fednova"]),
+    one_per_group=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# A width-1 hidden layer, whose bias gradient is a pairwise sum over the rows.
+@example(
+    sizes=[25, 12, 37, 21, 15, 33], hidden=[1], batch_size=16, epochs=1,
+    algorithm="fedavg", one_per_group=False, seed=0,
+)
+def test_train_clients_matches_reference_loop(
+    sizes, hidden, batch_size, epochs, algorithm, one_per_group, seed
+):
+    # Lockstep training, in groups of one or of many, against each client
+    # trained alone by the reference loop.
+    spec = ModelSpec((3, *hidden, 4))
+    ds = synth_blobs(4, 3, -(-sum(sizes) // 4), 1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(ds))
+    bounds = np.cumsum([0, *sizes])
+    clients = [ClientState(7 * i + 1, order[a:b]) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    g = init_params(spec, seed)
+    cfg = TrainConfig(
+        algorithm=algorithm, epochs=epochs, batch_size=batch_size, lr=0.3, decay=0.8,
+        prox_mu=0.5 if algorithm == "fedprox" else 0.0, master_seed=seed,
+    )
+    server_control = None
+    if algorithm == "scaffold":
+        server_control = rng.normal(scale=0.01, size=spec.num_params)
+        clients[0].control = rng.normal(scale=0.01, size=spec.num_params)
+    group_bytes = 8 * spec.num_params if one_per_group else engine_mod.GROUP_BYTES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "GROUP_BYTES", group_bytes)
+        updates = train_clients(clients, ds, g, cfg, 4, server_control)
+    for client, up in zip(clients, updates):
+        params, steps, new_control, old_control = _reference_local_train(
+            client, ds, g, cfg, 4, server_control
+        )
+        assert up.client_id == client.id
+        assert np.array_equal(up.new_params.values, params.values)
+        assert up.local_steps == steps
+        if algorithm == "scaffold":
+            assert np.array_equal(up.new_control, new_control)
+            assert np.array_equal(up.delta_control, new_control - old_control)
+
+
+def test_train_clients_drops_only_the_diverging_client(caplog):
+    ds, clients, g = _setup(n_clients=4, per_class=10)
+    bad = ds.features.copy()
+    bad[clients[2].data] *= 1e160
+    ds_bad = type(ds)(bad, ds.labels, ds.num_classes)
+    cfg = TrainConfig(epochs=3, batch_size=3, lr=0.05, master_seed=4)
+    with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
+        updates = train_clients(clients, ds_bad, g, cfg, 2)
+    assert updates[2] is None
+    assert [r.getMessage() for r in caplog.records] == [
+        f"dropping update: client {clients[2].id} diverged in round 2"
+    ]
+    for i in (0, 1, 3):
+        alone = local_train(clients[i], ds_bad, g, cfg, 2)
+        assert np.array_equal(updates[i].new_params.values, alone.new_params.values)
+        assert updates[i].local_steps == alone.local_steps
 
 
 def test_local_train_huge_features_diverge():

@@ -244,6 +244,20 @@ def test_cli_rejects_wrongly_typed_field(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+def test_cli_rejects_malformed_manual_groups(tmp_path, capsys):
+    raw = {
+        "seed": 1, "n_clients": 2, "rounds": 1, "partition": "manual",
+        "manual_groups": [3], "sample_ratio": 0.5, "output_dir": str(tmp_path / "runs"),
+    }
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manual_groups:") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_compare_single_dir_fails(tmp_path, capsys):
     rc = cli_main(["compare", "--target", "0.5", str(tmp_path)])
     assert rc == 1

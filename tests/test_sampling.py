@@ -166,11 +166,16 @@ def test_kmeans_deterministic_per_seed():
 
 
 def test_lloyd_inertia_non_increasing():
+    # Lloyd's algorithm stopped after 1, 2, ... iterations from the same start.
     rng = np.random.default_rng(10)
     points = rng.normal(size=(30, 4))
     for _ in range(5):
-        _, _, history = _lloyd_once(points, 4, rng, max_iter=50)
-        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        state = rng.bit_generator.state
+        inertias = []
+        for max_iter in range(1, 21):
+            rng.bit_generator.state = state
+            inertias.append(_lloyd_once(points, 4, rng, max_iter)[1])
+        assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
 
 def test_kmeans_handles_duplicate_points():
