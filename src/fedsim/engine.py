@@ -41,12 +41,11 @@ logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold", "fednova")
 
-# Stacked parameter bytes of one lockstep training group. A group keeps three
-# such stacks hot (parameters, gradients, steps), which then fit one core's
-# 2 MiB L2 on the Xeon it was tuned on; there, 1 MiB groups trained slower and
-# one group of fifty [256, 256] clients 1.25x slower than groups of one. A model
-# too large for two clients in the budget trains one client per group.
-GROUP_BYTES = 1 << 19
+# Stacked parameter bytes of one lockstep training group: half of one core's
+# 2 MiB L2 on the Xeon it was tuned on. There, one group of fifty [256, 256]
+# clients trained 1.25x slower than groups of one, so a model too large for two
+# clients in the budget trains one per group.
+GROUP_BYTES = 1 << 20
 # A summed loss below this bound leaves every group member's own loss finite.
 _LOSS_BOUND = 1e300
 
