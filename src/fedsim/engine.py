@@ -443,7 +443,7 @@ def _member_loss(logp, labels, rows, m, values, anchor, prox_mu):
 
 
 def _drop(members, dropped, global_params, cfg, round_idx, server_control):
-    """Results of a group whose `dropped` members diverged: retrain the rest alone."""
+    """Results of a group whose `dropped` members diverged: the rest retrain without them."""
     keep = [mem for i, mem in enumerate(members) if i not in dropped]
     rest = iter(_train_group(keep, global_params, cfg, round_idx, server_control) if keep else ())
     return [
