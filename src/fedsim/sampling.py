@@ -20,6 +20,13 @@ from .mlp import PROB_FLOOR
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
+# Similarity cross-term tiles: SIM_TILE rows by SIM_DEPTH columns per GEMM operand.
+# OpenBLAS runs a GEMM on one thread when m*n*k <= SMP_THRESHOLD_MIN *
+# GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 = 2**18, so each tile's bits do not
+# depend on the BLAS thread count. At 1000 clients x 200 x 20 on a 2-core Xeon,
+# 64 x 64 x 64 tiles were slower and 16 x 16 x 1024 no faster.
+SIM_TILE = 32
+SIM_DEPTH = 256
 
 
 @dataclass
@@ -102,7 +109,10 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     """n x n matrix of pairwise KL divergences between clients' soft labels.
 
     The (i, j) entry is the mean over probe samples of
-    KL(row of client i || row of client j).
+    KL(row of client i || row of client j): (C[i, i] - C[i, j]) / samples,
+    clipped at 0, for C = P @ log(P).T over the floored rows P flattened to
+    (n, samples * classes). C's bytes do not depend on the BLAS thread count,
+    and taking the self term off its diagonal gives identical clients exactly 0.
     """
     mats = [np.asarray(s, dtype=np.float64) for s in soft_labels]
     n = len(mats)
@@ -119,14 +129,45 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     del mats
     np.maximum(probs, PROB_FLOOR, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    logs = np.log(probs)
-    self_term = np.einsum("imk,imk->i", probs, logs)
-    matrix = np.einsum("imk,jmk->ij", probs, logs)
-    np.subtract(self_term[:, None], matrix, out=matrix)
+    cross = _cross_term(probs.reshape(n, -1))
+    matrix = np.subtract(np.diagonal(cross)[:, None], cross)
     matrix /= shape[0]
     np.maximum(matrix, 0.0, out=matrix)
     np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def _cross_term(probs: np.ndarray) -> np.ndarray:
+    """`probs @ log(probs).T` for an (n, width) array, as an (n, n) view.
+
+    One GEMM over the whole array is split across threads by OpenBLAS, and its
+    bits then depend on the thread count. Here it is a sum, over `SIM_DEPTH`
+    column chunks in order, of one-thread `SIM_TILE` x `SIM_TILE` tiles. Rows
+    are zero-padded to whole tiles and the last chunk to full depth; the
+    padding adds exact zeros.
+    """
+    n, width = probs.shape
+    nb = -(-n // SIM_TILE)
+    pad = nb * SIM_TILE
+    left = np.zeros((pad, SIM_DEPTH))
+    right = np.zeros((pad, SIM_DEPTH))
+    # Tile grid: left tile a times right tile b lands in prod[a, b].
+    left_tiles = left.reshape(nb, 1, SIM_TILE, SIM_DEPTH)
+    right_tiles = right.reshape(1, nb, SIM_TILE, SIM_DEPTH).transpose(0, 1, 3, 2)
+    prod = np.empty((nb, nb, SIM_TILE, SIM_TILE))
+    acc = np.zeros((pad, pad))
+    acc_tiles = acc.reshape(nb, SIM_TILE, nb, SIM_TILE).transpose(0, 2, 1, 3)
+    for lo in range(0, width, SIM_DEPTH):
+        d = min(SIM_DEPTH, width - lo)
+        if d < SIM_DEPTH:
+            left[:, d:] = 0.0
+            right[:, d:] = 0.0
+        left[:n, :d] = probs[:, lo : lo + d]
+        # Padding rows stay 0.0 in both buffers, never log(0).
+        np.log(left[:n, :d], out=right[:n, :d])
+        np.matmul(left_tiles, right_tiles, out=prod)
+        acc_tiles += prod
+    return acc[:n, :n]
 
 
 def default_cluster_count(n: int) -> int:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import (
     Dataset,
@@ -229,3 +231,54 @@ def test_partition_rejects_empty_client():
         Partition([np.array([0, 1]), np.array([], dtype=np.int64)])
     with pytest.raises(ValueError):
         Partition([np.array([0, 1]), np.array([1, 2])])
+
+
+def _assert_disjoint_cover(part, rows):
+    flat = np.concatenate(part.assignment)
+    assert flat.size == np.unique(flat).size
+    assert np.array_equal(np.sort(flat), rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_classes=st.integers(2, 6), per_class=st.integers(1, 12),
+    beta=st.floats(0.05, 20.0), seed=st.integers(0, 2**32 - 1), data=st.data(),
+)
+def test_dirichlet_partition_is_disjoint_cover(num_classes, per_class, beta, seed, data):
+    ds = synth_blobs(num_classes, 2, per_class, 1.0, seed=seed)
+    n_clients = data.draw(st.integers(1, min(len(ds), 15)))
+    part = partition_dirichlet(ds, n_clients, beta, seed)
+    assert part.num_clients == n_clients
+    _assert_disjoint_cover(part, np.arange(len(ds)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_classes=st.integers(2, 6), per_class=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1), data=st.data(),
+)
+def test_quantity_partition_is_disjoint_cover(num_classes, per_class, seed, data):
+    ds = synth_blobs(num_classes, 2, per_class, 1.0, seed=seed)
+    labels_per_client = data.draw(st.integers(1, num_classes))
+    n_clients = data.draw(
+        st.integers(-(-num_classes // labels_per_client), max(len(ds), num_classes))
+    )
+    part = partition_quantity(ds, n_clients, labels_per_client, seed)
+    assert part.num_clients == n_clients
+    _assert_disjoint_cover(part, np.arange(len(ds)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_classes=st.integers(2, 8), per_class=st.integers(1, 10), data=st.data())
+def test_manual_partition_is_disjoint_cover_of_grouped_labels(num_classes, per_class, data):
+    ds = synth_blobs(num_classes, 2, per_class, 1.0, seed=num_classes)
+    labels = data.draw(st.permutations(range(num_classes)))
+    used = data.draw(st.integers(1, num_classes))
+    cuts = [c for c in range(1, used) if data.draw(st.booleans())]
+    groups = [
+        (data.draw(st.integers(1, per_class)), list(labels[a:b]))
+        for a, b in zip([0, *cuts], [*cuts, used])
+    ]
+    part = partition_manual(ds, groups)
+    assert part.num_clients == sum(count for count, _ in groups)
+    _assert_disjoint_cover(part, np.flatnonzero(np.isin(ds.labels, labels[:used])))

@@ -367,6 +367,31 @@ def test_aggregate_fedavg_empty_rejected_and_order_independent():
     assert np.array_equal(forward_order.values, backward_order.values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 500), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_aggregators_ignore_update_order(sizes, seed, data):
+    spec = ModelSpec((2, 3))
+    n = spec.num_params
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(50, size=len(sizes), replace=False)
+    ups = [
+        _update(int(cid), rng.normal(size=n), sz, int(rng.integers(1, 20)), spec,
+                delta=rng.normal(size=n))
+        for cid, sz in zip(ids, sizes)
+    ]
+    shuffled = data.draw(st.permutations(ups))
+    assert np.array_equal(aggregate_fedavg(ups).values, aggregate_fedavg(shuffled).values)
+    server = ServerState(init_params(spec, seed), rng.normal(size=n))
+    params, control = aggregate_scaffold(server, ups, total_clients=50)
+    params_s, control_s = aggregate_scaffold(server, shuffled, total_clients=50)
+    assert np.array_equal(params.values, params_s.values)
+    assert np.array_equal(control, control_s)
+
+
 def test_aggregate_scaffold_zero_deltas_keep_control():
     spec = ModelSpec((2, 2))
     n = spec.num_params

@@ -258,6 +258,22 @@ def test_cli_rejects_malformed_manual_groups(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_reports_prepass_divergence_as_one_error_line(tmp_path, capsys):
+    raw = _tiny_config(
+        tmp_path, n_clients=8, hidden_sizes=[8], batch_size=4, decay=1.0,
+        sampler="stratified", lr=1e200,
+    ).to_dict()
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(raw))
+    with np.errstate(all="ignore"):
+        rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith("diverged in the clustering pre-pass")
+    assert "Traceback" not in err
+
+
 def test_cli_compare_single_dir_fails(tmp_path, capsys):
     rc = cli_main(["compare", "--target", "0.5", str(tmp_path)])
     assert rc == 1

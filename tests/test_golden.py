@@ -32,12 +32,12 @@ GOLDEN = {
     "determinism": (
         DETERMINISM,
         "00dafae20dd5770fddb9e6c1d0b01f8ef3ff07c7350e896535a8d234454d8119",
-        "8e12da8732d39b4f97b9e9147f0a2f5484cd2ef213f7092a41d9009f4b232d06",
+        "7e38b820690aca7f8b5628dc19fd05142f43ad5099e8f489a1d5d085374995e1",
     ),
     "battery": (
         BATTERY,
         "fd5613fdfde26b015ac49dc5dbb8c12a8816383d6c548fbcd33766dee4765f88",
-        "fc7b2a2e7ccfc61d375a68db7620aee106a7edaa0c101ceee5cebc6ad6a5e952",
+        "1756a827a89a2c0bf4cde9a306bec1117755553980178ca672eb5dbaa8c39d29",
     ),
 }
 

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim
 from fedsim import (
     ClusterAssignment,
     build_similarity_matrix,
@@ -15,7 +20,8 @@ from fedsim import (
     stratified_sample,
     uniform_sample,
 )
-from fedsim.sampling import _lloyd_once, save_matrix_csv
+from fedsim.mlp import PROB_FLOOR
+from fedsim.sampling import SIM_DEPTH, SIM_TILE, _lloyd_once, save_matrix_csv
 
 
 def test_kl_identity_is_zero():
@@ -104,6 +110,87 @@ def test_similarity_rejects_inconsistent_shapes():
             [rng.dirichlet(np.ones(3), size=4), rng.dirichlet(np.ones(3), size=5)]
         )
 
+
+def _einsum_similarity(soft):
+    """The similarity matrix with both KL terms as einsum contractions."""
+    probs = np.maximum(np.stack(soft), PROB_FLOOR)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    logs = np.log(probs)
+    self_term = np.einsum("imk,imk->i", probs, logs)
+    cross = np.einsum("imk,jmk->ij", probs, logs)
+    matrix = np.maximum((self_term[:, None] - cross) / probs.shape[1], 0.0)
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "n, samples, classes",
+    [
+        (1, 5, 3),  # one client, one padded tile
+        (37, 13, 7),  # n and samples * classes off the tile and chunk sizes
+        (2 * SIM_TILE, SIM_DEPTH // 4, 4),  # whole tiles, one whole chunk
+        (SIM_TILE + 1, 3 * SIM_DEPTH // 10 + 1, 10),  # several chunks, short last one
+    ],
+)
+def test_similarity_agrees_with_einsum_reference(n, samples, classes):
+    rng = np.random.default_rng(n * 1000 + samples)
+    # Small concentrations put many entries under the probability floor.
+    soft = list(rng.dirichlet(np.full(classes, 0.3), size=(n, samples)))
+    got = build_similarity_matrix(soft)
+    np.testing.assert_allclose(got, _einsum_similarity(soft), rtol=1e-12, atol=1e-14)
+
+
+def test_similarity_repeated_client_gives_exact_zeros():
+    rng = np.random.default_rng(14)
+    n = 2 * SIM_TILE + 6
+    soft = list(rng.dirichlet(np.ones(9), size=(n, 31)))
+    copies = [0, 5, SIM_TILE + 3, n - 1]  # in the first, second and third tile rows
+    for i in copies[1:]:
+        soft[i] = soft[0].copy()
+    m = build_similarity_matrix(soft)
+    for i, j in itertools.product(copies, repeat=2):
+        assert m[i, j] == 0.0
+    others = np.setdiff1d(np.arange(n), copies)
+    assert np.all(m[np.ix_(copies, others)] > 0)
+    np.testing.assert_allclose(m, _einsum_similarity(soft), rtol=1e-12, atol=1e-14)
+
+
+def test_similarity_tiles_stay_single_threaded():
+    # OpenBLAS runs a GEMM on one thread when m*n*k <= SMP_THRESHOLD_MIN *
+    # GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 = 2**18 (interface/gemm.c).
+    assert SIM_TILE * SIM_TILE * SIM_DEPTH <= 2**18
+
+
+_SIMILARITY_SHA = """
+import hashlib, sys
+import numpy as np
+from fedsim import build_similarity_matrix
+n, samples, classes = map(int, sys.argv[1:])
+rng = np.random.default_rng([n, samples, classes])
+matrix = build_similarity_matrix(list(rng.dirichlet(np.ones(classes), size=(n, samples))))
+print(hashlib.sha256(matrix.tobytes()).hexdigest())
+"""
+
+
+def _similarity_sha_in_subprocess(threads, shape):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(fedsim.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIMILARITY_SHA, *map(str, shape)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip()
+
+
+# 50 x 30 x 10 is a shape where one plain `P @ log(P).T` gives different bytes
+# on one and two OpenBLAS threads; 100 x 1000 x 10 is battery's pre-pass.
+@pytest.mark.parametrize("shape", [(50, 30, 10), (100, 1000, 10)])
+def test_similarity_bytes_do_not_depend_on_blas_threads(shape):
+    one = _similarity_sha_in_subprocess(1, shape)
+    assert len(one) == 64
+    assert _similarity_sha_in_subprocess(2, shape) == one
 
 def test_default_cluster_count_values():
     assert default_cluster_count(1) == 1
