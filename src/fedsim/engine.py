@@ -182,15 +182,18 @@ def _train_all(clients, dataset, global_params, cfg, round_idx, server_control):
     order = sorted(range(len(clients)), key=lambda i: -clients[i].data.size)
     size = max(1, GROUP_BYTES // (8 * global_params.spec.num_params))
     results = [None] * len(clients)
-    for start in range(0, len(order), size):
-        group = order[start : start + size]
-        members = [
-            (c, *_check_training_batch(global_params, dataset.features[c.data], dataset.labels[c.data]))
-            for c in (clients[i] for i in group)
-        ]
-        trained = _train_group(members, global_params, cfg, round_idx, server_control)
-        for i, result in zip(group, trained):
-            results[i] = result
+    # Divergence is detected from the values themselves, so numpy's own
+    # overflow and invalid-value warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(order), size):
+            group = order[start : start + size]
+            members = [
+                (c, *_check_training_batch(global_params, dataset.features[c.data], dataset.labels[c.data]))
+                for c in (clients[i] for i in group)
+            ]
+            trained = _train_group(members, global_params, cfg, round_idx, server_control)
+            for i, result in zip(group, trained):
+                results[i] = result
     return results
 
 
@@ -374,9 +377,12 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         delta_control = None
         new_control = None
         if scaffold:
-            new_control = controls[c] - server_control + (
-                global_params.values - params.values
-            ) / (n_steps * lr_effective)
+            # c_i - c + (g - w) / (steps * lr), one operation at a time into
+            # two buffers; `delta` is free once the steps are done.
+            new_control = np.subtract(global_params.values, params.values)
+            new_control /= n_steps * lr_effective
+            np.subtract(controls[c], server_control, out=delta[0])
+            new_control += delta[0]
             if not np.all(np.isfinite(new_control)):
                 results.append(DivergenceError(f"client {client.id} control variate diverged"))
                 continue
@@ -474,7 +480,12 @@ def aggregate_fedavg(updates: list[LocalUpdate]) -> ModelParams:
 def aggregate_scaffold(
     server: ServerState, updates: list[LocalUpdate], total_clients: int
 ) -> tuple[ModelParams, np.ndarray]:
-    """`aggregate_fedavg` parameters plus the server control moved by |s|/N times the mean delta."""
+    """`aggregate_fedavg` parameters plus the server control moved by |s|/N times the mean delta.
+
+    The mean delta is a running sum in client-id order divided by the count:
+    the same additions, in the same order, as `np.mean` over the stacked
+    deltas, without the stack.
+    """
     ups = sorted(updates, key=lambda u: u.client_id)
     if any(u.delta_control is None for u in ups):
         raise ValueError("scaffold aggregation needs delta_control on every update")
@@ -484,7 +495,10 @@ def aggregate_scaffold(
         if server.server_control is None
         else server.server_control
     )
-    mean_delta = np.mean(np.stack([u.delta_control for u in ups]), axis=0)
+    mean_delta = ups[0].delta_control.astype(np.float64)
+    for u in ups[1:]:
+        mean_delta += u.delta_control
+    mean_delta /= len(ups)
     new_control = control + (len(ups) / total_clients) * mean_delta
     return params, new_control
 
@@ -527,7 +541,9 @@ def run_round(
     """Train the sampled clients from one global snapshot, aggregate, and score.
 
     Pre-computed `updates` (e.g. from the clustering pre-pass) skip the training
-    step but go through identical aggregation and accounting.
+    step but go through identical aggregation and accounting. Without
+    `test_data` the round's accuracy and loss are nan; `run_experiment` scores
+    each new global model itself, while the next round trains.
     """
     if plan.budget == 0:
         raise ValueError("empty sampling plan")
@@ -558,6 +574,8 @@ def run_round(
         new_global = aggregate_fednova(snapshot, accepted)
     else:
         new_global = aggregate_fedavg(accepted)
+    # The updates hold a model copy per client; free them before scoring.
+    del results, accepted
 
     if ledger is not None:
         model_bytes = snapshot.spec.num_params * metrics_mod.BYTES_PER_PARAM

@@ -9,17 +9,20 @@ reproduces the rounds-to-target / byte-delta comparison across directories.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import logging
 import math
 import types
 import typing
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import metrics as metrics_mod
 from .data import (
     Dataset,
     Partition,
@@ -44,6 +47,7 @@ from .engine import (
 from .metrics import (
     BYTES_PER_PARAM,
     CostLedger,
+    RoundMetrics,
     read_metrics_csv,
     rounds_to_target,
     write_metrics_csv,
@@ -341,6 +345,14 @@ def _build_partition(cfg: ExperimentConfig, train: Dataset) -> Partition:
     return partition_manual(train, cfg.manual_groups)
 
 
+def _collect_score(rm: RoundMetrics, scoring: Future) -> None:
+    """Fill a round's accuracy and loss from its scoring future."""
+    rm.test_accuracy, rm.test_loss = scoring.result()
+    logger.debug(
+        "round %d: accuracy=%.4f entropy=%.4f", rm.round, rm.test_accuracy, rm.sample_relative_entropy
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run the configured experiment and return its artifact directory."""
     cfg.validate()
@@ -363,20 +375,28 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     pre = None
     if cfg.sampler == "stratified":
         pre = preprocess(clients, train, public, server, tc, cluster_k=cfg.cluster_k, ledger=ledger)
-    for r in range(1, cfg.rounds + 1):
-        if pre is None or (r == 1 and cfg.round1_participation == "sampled"):
-            plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
-        elif r == 1:
-            plan = SamplingPlan(1, np.arange(cfg.n_clients))
-        else:
-            plan = stratified_sample(pre.assignment, cfg.budget, r, cfg.seed)
-        # Round 1 aggregates the pre-pass's local training (same seeds) instead of retraining.
-        updates = pre.updates if pre is not None and r == 1 else None
-        server, rm = run_round(
-            server, clients, train, plan, tc, test_data=test, ledger=ledger, updates=updates
-        )
-        history.append(rm)
-        logger.debug("round %d: accuracy=%.4f entropy=%.4f", r, rm.test_accuracy, rm.sample_relative_entropy)
+    # Round r is scored on the worker thread while round r + 1 trains; its
+    # score is collected before round r + 1's is submitted. The worker runs in
+    # a copy of the caller's context, so the caller's np.errstate holds there.
+    with ThreadPoolExecutor(max_workers=1) as scorer:
+        scoring = None
+        for r in range(1, cfg.rounds + 1):
+            if pre is None or (r == 1 and cfg.round1_participation == "sampled"):
+                plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
+            elif r == 1:
+                plan = SamplingPlan(1, np.arange(cfg.n_clients))
+            else:
+                plan = stratified_sample(pre.assignment, cfg.budget, r, cfg.seed)
+            # Round 1 aggregates the pre-pass's local training (same seeds) instead of retraining.
+            updates = pre.updates if pre is not None and r == 1 else None
+            server, rm = run_round(server, clients, train, plan, tc, ledger=ledger, updates=updates)
+            if scoring is not None:
+                _collect_score(history[-1], scoring)
+            history.append(rm)
+            scoring = scorer.submit(
+                contextvars.copy_context().run, metrics_mod.evaluate_global, server.global_params, test
+            )
+        _collect_score(history[-1], scoring)
 
     write_metrics_csv(history, out / "metrics.csv")
     if pre is not None:

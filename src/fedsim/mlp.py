@@ -125,14 +125,22 @@ def _check_training_batch(params: ModelParams, batch, labels) -> tuple[np.ndarra
 
 
 def _activations(layers, x: np.ndarray):
-    """All post-activation layer inputs plus the output logits."""
+    """All post-activation layer inputs plus the output logits.
+
+    The bias and the ReLU are applied in place on each fresh GEMM output, so
+    a layer costs one activation-sized array.
+    """
     acts = [x]
     h = x
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     w, b = layers[-1]
-    return acts, h @ w + b
+    logits = h @ w
+    logits += b
+    return acts, logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

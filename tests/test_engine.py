@@ -271,6 +271,46 @@ def test_train_clients_drops_only_the_diverging_client(caplog):
         assert updates[i].local_steps == alone.local_steps
 
 
+def test_train_clients_drops_overflowing_client_without_numpy_warnings(caplog):
+    # No np.errstate here: pytest turns any RuntimeWarning into an error, so a
+    # raw numpy overflow warning from the steps would fail the test.
+    ds, clients, g = _setup(n_clients=2, per_class=10)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=1e200, decay=1.0, master_seed=6)
+    with caplog.at_level(logging.WARNING):
+        updates = train_clients(clients[:1], ds, g, cfg, 1)
+    assert updates == [None]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"dropping update: client {clients[0].id} diverged in round 1"
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    batch_size=st.integers(1, 12),
+    epochs=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_fedprox_mu_zero_is_fedavg_through_train_clients(sizes, hidden, batch_size, epochs, seed):
+    spec = ModelSpec((3, *hidden, 4))
+    ds = synth_blobs(4, 3, -(-sum(sizes) // 4), 1.0, seed=seed)
+    order = np.random.default_rng(seed).permutation(len(ds))
+    bounds = np.cumsum([0, *sizes])
+    clients = [ClientState(i, order[a:b]) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    g = init_params(spec, seed)
+    runs = [
+        train_clients(clients, ds, g, TrainConfig(
+            algorithm=algorithm, epochs=epochs, batch_size=batch_size, lr=0.3, decay=0.8,
+            prox_mu=0.0, master_seed=seed,
+        ), 3)
+        for algorithm in ("fedavg", "fedprox")
+    ]
+    for avg, prox in zip(*runs):
+        assert np.array_equal(avg.new_params.values, prox.new_params.values)
+        assert avg.local_steps == prox.local_steps
+
+
 def test_local_train_huge_features_diverge():
     ds, clients, g = _setup()
     bad = type(ds)(ds.features * 1e160, ds.labels, ds.num_classes)
@@ -390,6 +430,48 @@ def test_aggregators_ignore_update_order(sizes, seed, data):
     params_s, control_s = aggregate_scaffold(server, shuffled, total_clients=50)
     assert np.array_equal(params.values, params_s.values)
     assert np.array_equal(control, control_s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 60),
+    widths=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Wide-scaffold's shape: 50 clients of a (32, 256, 256, 10) model.
+@example(count=50, widths=[32, 256, 256, 10], seed=1)
+def test_aggregate_scaffold_matches_stacked_mean(count, widths, seed):
+    spec = ModelSpec((*widths[:-1], max(2, widths[-1])))
+    n = spec.num_params
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(10 * count, size=count, replace=False)
+    ups = [
+        _update(int(cid), rng.normal(size=n), int(rng.integers(1, 50)), 2, spec,
+                delta=rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n))
+        for cid in ids
+    ]
+    server = ServerState(init_params(spec, seed), rng.normal(size=n))
+    _, control = aggregate_scaffold(server, ups, total_clients=10 * count)
+    deltas = np.stack([u.delta_control for u in sorted(ups, key=lambda u: u.client_id)])
+    expected = server.server_control + (count / (10 * count)) * np.mean(deltas, axis=0)
+    assert np.array_equal(control, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 10_000), min_size=1, max_size=12),
+    steps=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregate_fednova_equal_steps_is_fedavg(sizes, steps, seed):
+    spec = ModelSpec((3, 4, 2))
+    rng = np.random.default_rng(seed)
+    ups = [
+        _update(i, rng.normal(size=spec.num_params), sz, steps, spec)
+        for i, sz in enumerate(sizes)
+    ]
+    nova = aggregate_fednova(init_params(spec, seed), ups)
+    assert np.array_equal(nova.values, aggregate_fedavg(ups).values)
 
 
 def test_aggregate_scaffold_zero_deltas_keep_control():

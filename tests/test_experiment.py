@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedsim
+import fedsim.metrics as metrics_mod
 from fedsim import (
     ConfigError,
     ExperimentConfig,
@@ -272,6 +279,68 @@ def test_cli_reports_prepass_divergence_as_one_error_line(tmp_path, capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].endswith("diverged in the clustering pre-pass")
     assert "Traceback" not in err
+
+
+def test_overflowing_run_completes_under_the_callers_errstate(tmp_path):
+    # Rounds are scored on a worker thread. It must run under the caller's
+    # np.errstate, or pytest's error::RuntimeWarning filter stops the run.
+    cfg = _tiny_config(
+        tmp_path, n_clients=8, rounds=3, hidden_sizes=[8], batch_size=4, decay=1.0, lr=1e100,
+    )
+    with np.errstate(all="ignore"):
+        out = run_experiment(cfg)
+    assert [m.round for m in read_metrics_csv(out / "metrics.csv")] == [1, 2, 3]
+
+
+class _ScoringFailed(Exception):
+    pass
+
+
+def test_scoring_error_leaves_run_experiment_and_its_thread(tmp_path, monkeypatch):
+    calls = []
+    score = metrics_mod.evaluate_global
+
+    def fail_on_round_2(params, test):
+        calls.append(1)
+        if len(calls) == 2:
+            raise _ScoringFailed("round 2")
+        return score(params, test)
+
+    monkeypatch.setattr(metrics_mod, "evaluate_global", fail_on_round_2)
+    threads = threading.active_count()
+    with pytest.raises(_ScoringFailed, match="round 2"):
+        run_experiment(_tiny_config(tmp_path, rounds=4))
+    assert threading.active_count() == threads
+    assert not (tmp_path / "runs" / "tiny" / "metrics.csv").exists()
+
+
+_METRICS_SHA = """
+import hashlib, json, sys
+from fedsim import ExperimentConfig, run_experiment
+out = run_experiment(ExperimentConfig(**json.loads(sys.argv[1])))
+print(hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest())
+"""
+
+
+def test_metrics_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Scoring 2,000 test rows runs GEMMs large enough for OpenBLAS to split
+    # over two threads, concurrently with the next round's training.
+    shas = []
+    for threads in (1, 2):
+        raw = _tiny_config(
+            tmp_path, name=f"threads{threads}", n_clients=6, rounds=3, num_classes=4,
+            dim=16, test_per_class=500, hidden_sizes=[64, 64],
+        ).to_dict()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(fedsim.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _METRICS_SHA, json.dumps(raw)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        shas.append(proc.stdout.strip())
+    assert len(shas[0]) == 64 and shas[1] == shas[0]
 
 
 def test_cli_compare_single_dir_fails(tmp_path, capsys):

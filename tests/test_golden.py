@@ -28,6 +28,15 @@ BATTERY = dict(
     epochs=20, batch_size=64, lr=0.5, decay=0.99, round1_participation="sampled",
 )
 
+# Scaffold with two hidden layers, stratified: control variates and a deeper
+# backprop go through the pre-pass and the rounds.
+SCAFFOLD = dict(
+    seed=23, n_clients=16, rounds=4, num_classes=6, dim=10, per_class=40,
+    test_per_class=20, partition="dirichlet", beta=0.5, hidden_sizes=[12, 8],
+    algorithm="scaffold", sampler="stratified", sample_ratio=0.5, epochs=2,
+    batch_size=8, lr=0.05, public_count=50, cluster_k=3,
+)
+
 GOLDEN = {
     "determinism": (
         DETERMINISM,
@@ -38,6 +47,11 @@ GOLDEN = {
         BATTERY,
         "fd5613fdfde26b015ac49dc5dbb8c12a8816383d6c548fbcd33766dee4765f88",
         "1756a827a89a2c0bf4cde9a306bec1117755553980178ca672eb5dbaa8c39d29",
+    ),
+    "scaffold": (
+        SCAFFOLD,
+        "a06b6a07cda7d184864d8389e0604d2f32b3fa957487c872261ad2fe0dabb423",
+        "9a53994c85195627c9e0616ed9606c032b667fc6c27f103316a1e506af6af82b",
     ),
 }
 
