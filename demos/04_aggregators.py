@@ -49,8 +49,8 @@ def main():
         accs = []
         for r in range(1, 11):
             plan = uniform_sample(12, 6, r, seed)
-            server, rm = run_round(server, local, train, plan, cfg, test_data=test)
-            accs.append(rm.test_accuracy)
+            server, _ = run_round(server, local, train, plan, cfg)
+            accs.append(evaluate_global(server.global_params, test)[0])
         print(f"{algorithm:9s}  {accs[0]:.3f}   {accs[4]:.3f}   {accs[9]:.3f}")
 
     # Reduction identities: one round under shared seeds.

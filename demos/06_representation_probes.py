@@ -10,8 +10,6 @@ similar high-level features. Two checks on a shared probe batch:
 Run:  python3 demos/06_representation_probes.py
 """
 
-import numpy as np
-
 from fedsim import (
     ModelSpec,
     ServerState,

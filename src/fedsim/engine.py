@@ -92,7 +92,7 @@ class LocalUpdate:
     new_control: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     algorithm: str = "fedavg"
     epochs: int = 1
@@ -116,8 +116,17 @@ class TrainConfig:
             errors.append("decay: must be in (0, 1]")
         if self.prox_mu < 0:
             errors.append("prox_mu: must be >= 0")
+        if not errors and not self.epoch_rates()[-1] > 0:
+            errors.append(f"decay: the learning rate decays to 0 within {self.epochs} epochs")
         if errors:
             raise ValueError("; ".join(errors))
+
+    def epoch_rates(self) -> list[float]:
+        """Each local epoch's learning rate: `lr`, multiplied by `decay` after every epoch."""
+        rates = [self.lr]
+        for _ in range(self.epochs - 1):
+            rates.append(rates[-1] * self.decay)
+        return rates
 
 
 def make_clients(partition: Partition) -> list[ClientState]:
@@ -160,7 +169,7 @@ def train_clients(
     steps themselves re-check nothing but divergence. A client whose loss,
     gradient or control variate turns non-finite gets `None` and one
     "dropping update" warning. A finite gradient whose step overflows the
-    parameters, or a learning rate decayed to 0, raises ValueError.
+    parameters raises ValueError.
     """
     results = _train_all(clients, dataset, global_params, cfg, round_idx, server_control)
     for i, result in enumerate(results):
@@ -221,7 +230,6 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     pad = len(table_x) - 1
     real = rows != pad
     counts = real.sum(axis=2).tolist()
-    rates_ok = ((rates > 0) | ~real[:, :, 0]).all(axis=1).tolist()
     # Per step, (member, row, label) of every real row: the one-hot targets.
     step_of, *where = np.nonzero(real)
     where.append(table_y[rows[real]])
@@ -232,12 +240,8 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     values = np.tile(global_params.values, (g, 1))
     grad = np.empty_like(values)
     delta = np.empty_like(values)  # each step's lr-scaled update
-    layers = [unpack_params(v, spec) for v in values]
-    grad_layers = [unpack_params(v, spec) for v in grad]
-    starts = np.cumsum([0] + [fi * fo + fo for fi, fo in shapes]).tolist()
-    bias_cols = [slice(o + fi * fo, o + fi * fo + fo) for o, (fi, fo) in zip(starts, shapes)]
-    biases = [values[:, cols] for cols in bias_cols]
-    grad_biases = [grad[:, cols] for cols in bias_cols]
+    weights, biases = zip(*unpack_params(values, spec))
+    grad_weights, grad_biases = zip(*unpack_params(grad, spec))
     x_buf = np.empty((g, width, spec.input_dim))
     z_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]  # forward GEMM outputs
     a_bufs = [np.empty((g, width, fo)) for _, fo in shapes]  # after bias (and ReLU)
@@ -254,21 +258,14 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     if prox_mu > 0:
         diff = np.empty_like(values)
 
-    # Per-layer GEMM arguments of every member at its current batch size, and
-    # the stacked views of the current (active members, rows) shape; both are
-    # built once per distinct shape.
-    fwd = [[None] * g for _ in shapes]
-    wgrad = [[None] * g for _ in shapes]
-    back = [[None] * g for _ in shapes]
-    member_args = [{} for _ in range(g)]
-    stacked = {}
+    # Each member's per-layer GEMM arguments at its current batch size.
+    gemms = [None] * g
     current = [0] * g
     shape = None
     for t in range(total):
         count = counts[t]
         active = g - count.count(0)
         span = max(count)
-        changed = (active, span) != shape
         for c in range(active):
             m = count[c]
             if m == current[c]:
@@ -279,32 +276,25 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
             denom[c, :m] = m
             denom[c, m:] = np.inf
             current[c] = m
-            changed = True
-            if m not in member_args[c]:
-                member_args[c][m] = _gemm_args(
-                    layers[c], grad_layers[c], x_buf[c, :m], [b[c, :m] for b in z_bufs],
-                    [b[c, :m] for b in a_bufs], [b[c, :m] for b in d_bufs],
-                )
-            for li, args in enumerate(member_args[c][m]):
-                fwd[li][c], wgrad[li][c], back[li][c] = args
-        if changed:
+            gemms[c] = _gemm_args(
+                [w[c] for w in weights], [gw[c] for gw in grad_weights], x_buf[c, :m],
+                *([b[c, :m] for b in bufs] for bufs in (z_bufs, a_bufs, d_bufs)),
+            )
+        if (active, span) != shape:
             shape = (active, span)
-            fwd_run, wgrad_run, back_run = ([r[:active] for r in lists] for lists in (fwd, wgrad, back))
-            if shape not in stacked:
-                stacked[shape] = (
-                    x_buf[:active],
-                    *([buf[:active, :span] for buf in bufs] for bufs in (z_bufs, a_bufs, d_bufs)),
-                    [b[:active, None, :] for b in biases],
-                    [gb[:active] for gb in grad_biases],
-                    denom[:active, :span],
-                    values[:active], grad[:active], delta[:active],
-                )
-            xs, zs, acts, ds, bs, gbs, den, vals, grads, deltas = stacked[shape]
+            xs = x_buf[:active]
+            zs, acts, ds = ([buf[:active, :span] for buf in bufs] for bufs in (z_bufs, a_bufs, d_bufs))
+            bs = [b[:active, None, :] for b in biases]
+            gbs = [gb[:active] for gb in grad_biases]
+            den = denom[:active, :span]
+            vals, grads, deltas = values[:active], grad[:active], delta[:active]
+        run = gemms[:active]
 
         np.take(table_x, rows[t, :active], axis=0, out=xs)
         for li in range(last + 1):
-            for args in fwd_run[li]:
-                np.matmul(args[0], args[1], out=args[2])
+            for member in run:
+                x, w, z = member[li][0]
+                np.matmul(x, w, out=z)
             np.add(zs[li], bs[li], out=acts[li])
             if li < last:
                 np.maximum(acts[li], 0.0, out=acts[li])
@@ -319,16 +309,18 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         d[at] -= 1.0
         d /= den
         for li in range(last, -1, -1):
-            for args in wgrad_run[li]:
-                np.matmul(args[0], args[1], out=args[2])
+            for member in run:
+                a_in, d_out, gw = member[li][1]
+                np.matmul(a_in, d_out, out=gw)
             if shapes[li][1] > 1:
                 ds[li].sum(axis=1, out=gbs[li])
             else:  # A width-1 row sum is pairwise over the rows: sum real rows only.
-                for c, args in enumerate(wgrad_run[li]):
-                    args[1].sum(axis=0, out=grad_layers[c][li][1])
+                for c, member in enumerate(run):
+                    member[li][1][1].sum(axis=0, out=grad_biases[li][c])
             if li > 0:
-                for args in back_run[li]:
-                    np.matmul(args[0], args[1], out=args[2])
+                for member in run:
+                    d_out, w_t, d_in = member[li][2]
+                    np.matmul(d_out, w_t, out=d_in)
                 ds[li - 1] *= acts[li - 1] > 0
         if prox_mu > 0:
             dv = diff[:active]
@@ -353,20 +345,15 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         else:
             np.multiply(grads, lr, out=deltas)
         vals -= deltas
-        # With lr > 0, finite new values imply a finite gradient. The decayed
-        # lr can underflow to 0, which is an error of its own.
-        if not (rates_ok[t] and np.isfinite(vals).all()):
+        # TrainConfig keeps every rate > 0, so finite new values imply a finite gradient.
+        if not np.isfinite(vals).all():
             dropped = []
             for c in range(active):
-                if rates[t, c] > 0 and np.isfinite(values[c]).all():
+                if np.isfinite(values[c]).all():
                     continue
-                cid = members[c][0].id
-                if not np.isfinite(grad[c]).all():
-                    dropped.append(c)
-                elif not rates[t, c] > 0:
-                    raise ValueError(f"client {cid}: learning rate decayed to 0")
-                else:
-                    raise ValueError(f"client {cid}: SGD step overflowed the parameters")
+                if np.isfinite(grad[c]).all():
+                    raise ValueError(f"client {members[c][0].id}: SGD step overflowed the parameters")
+                dropped.append(c)
             return _drop(members, dropped, global_params, cfg, round_idx, server_control)
 
     results = []
@@ -410,9 +397,7 @@ def _schedule(members, cfg, round_idx):
     table_y = np.concatenate([y for _, _, y in members] + [np.zeros(1, dtype=np.int64)])
     rows = np.full((cfg.epochs * per_epoch[0], len(members), width), pad)
     rates = np.zeros(rows.shape[:2])
-    epoch_rates = [cfg.lr]
-    for _ in range(cfg.epochs - 1):
-        epoch_rates.append(epoch_rates[-1] * cfg.decay)
+    epoch_rates = cfg.epoch_rates()
     base = 0
     for c, ((client, _, _), n, nb) in enumerate(zip(members, sizes, per_epoch)):
         rng = np.random.default_rng([cfg.master_seed, round_idx, client.id])
@@ -426,16 +411,16 @@ def _schedule(members, cfg, round_idx):
     return table_x, table_y, rows, rates
 
 
-def _gemm_args(layer, grad_layer, x, zs, acts, ds):
+def _gemm_args(weights, grad_weights, x, zs, acts, ds):
     """Per layer: (forward, weight-gradient, backprop) matmul arguments of one member."""
     ins = [x] + acts[:-1]
     return [
         (
             (ins[li], w, zs[li]),
-            (ins[li].T, ds[li], grad_layer[li][0]),
+            (ins[li].T, ds[li], grad_weights[li]),
             (ds[li], w.T, ds[li - 1]) if li > 0 else None,
         )
-        for li, (w, _) in enumerate(layer)
+        for li, w in enumerate(weights)
     ]
 
 
@@ -534,16 +519,16 @@ def run_round(
     plan: SamplingPlan,
     cfg: TrainConfig,
     *,
-    test_data: Dataset | None = None,
     ledger: metrics_mod.CostLedger | None = None,
     updates: list[LocalUpdate] | None = None,
 ) -> tuple[ServerState, metrics_mod.RoundMetrics]:
-    """Train the sampled clients from one global snapshot, aggregate, and score.
+    """Train the sampled clients from one global snapshot and aggregate.
 
     Pre-computed `updates` (e.g. from the clustering pre-pass) skip the training
-    step but go through identical aggregation and accounting. Without
-    `test_data` the round's accuracy and loss are nan; `run_experiment` scores
-    each new global model itself, while the next round trains.
+    step but go through identical aggregation and accounting. The round's
+    accuracy and loss are nan: callers score the new global model with
+    `metrics.evaluate_global`, as `run_experiment` does while the next round
+    trains.
     """
     if plan.budget == 0:
         raise ValueError("empty sampling plan")
@@ -574,8 +559,6 @@ def run_round(
         new_global = aggregate_fednova(snapshot, accepted)
     else:
         new_global = aggregate_fedavg(accepted)
-    # The updates hold a model copy per client; free them before scoring.
-    del results, accepted
 
     if ledger is not None:
         model_bytes = snapshot.spec.num_params * metrics_mod.BYTES_PER_PARAM
@@ -584,16 +567,11 @@ def run_round(
     entropy = metrics_mod.sample_relative_entropy(
         plan, [c.data for c in clients], dataset.labels, dataset.num_classes
     )
-    if test_data is not None:
-        accuracy, loss = metrics_mod.evaluate_global(new_global, test_data)
-    else:
-        accuracy, loss = math.nan, math.nan
-
     new_server = ServerState(new_global, new_control, round_idx, server.rng_seed)
     rm = metrics_mod.RoundMetrics(
         round=round_idx,
-        test_accuracy=accuracy,
-        test_loss=loss,
+        test_accuracy=math.nan,
+        test_loss=math.nan,
         sample_relative_entropy=entropy,
         cumulative_bytes=ledger.total if ledger is not None else 0,
     )

@@ -251,9 +251,14 @@ def write_metrics_csv(rows: list[RoundMetrics], path) -> None:
 
 
 def read_metrics_csv(path) -> list[RoundMetrics]:
+    """Rows written by `write_metrics_csv`; a file lacking any of its columns is a ValueError."""
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [f for f in METRICS_FIELDS if f not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
+        for rec in reader:
             rows.append(
                 RoundMetrics(
                     round=int(rec["round"]),

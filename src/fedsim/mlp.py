@@ -2,10 +2,10 @@
 
 Forward pass, softmax cross-entropy with analytic gradients (optionally with a
 proximal penalty toward an anchor vector), and plain SGD steps. The public
-functions validate their inputs and return new arrays. Backprop itself is one
-private kernel that writes the gradient into caller-owned buffer views; the
-public `loss_and_grad` wraps it. `engine.train_clients` runs the same
-arithmetic, operation for operation, on stacks of clients.
+functions validate their inputs and return new arrays. `loss_and_grad` is the
+reference backprop: `engine.train_clients` runs the same arithmetic, operation
+for operation, on stacks of clients, and `unpack_params` gives it per-layer
+views of those stacks.
 """
 
 from __future__ import annotations
@@ -84,13 +84,18 @@ def init_params(spec: ModelSpec, seed) -> ModelParams:
 
 
 def unpack_params(values: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of a flat vector laid out like the parameters as per-layer (W, b) pairs."""
+    """Per-layer (W, b) views of vectors laid out like the parameters.
+
+    The layout runs along the last axis, so a (clients, num_params) stack
+    gives (clients, fan_in, fan_out) weights and (clients, fan_out) biases.
+    """
+    lead = values.shape[:-1]
     layers = []
     offset = 0
     for fan_in, fan_out in spec.layer_shapes:
-        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = values[offset : offset + fan_out]
+        b = values[..., offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -188,28 +193,15 @@ def loss_and_grad(
     if prox_mu > 0 and anchor.values.shape != params.values.shape:
         raise ValueError("anchor length must match params")
 
-    grad = np.empty_like(params.values)
-    loss = _loss_and_grad_into(
-        unpack_params(params.values, params.spec), unpack_params(grad, params.spec), x, y
-    )
-    if prox_mu > 0:
-        loss += _prox_into(params.values, anchor.values, prox_mu, grad)
-    return loss, grad
-
-
-def _loss_and_grad_into(layers, grad_layers, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of (x, y); its gradient overwrites the `grad_layers` views.
-
-    The unchecked backprop kernel: inputs must already be validated.
-    `grad_layers` are (W, b) views of one flat buffer laid out like the
-    parameters.
-    """
+    layers = unpack_params(params.values, params.spec)
     acts, logits = _activations(layers, x)
     m = x.shape[0]
     rows = np.arange(m)
     logp = log_softmax(logits)
     loss = -float(logp[rows, y].mean())
 
+    grad = np.empty_like(params.values)
+    grad_layers = unpack_params(grad, params.spec)
     d = np.exp(logp)
     d[rows, y] -= 1.0
     d /= m
@@ -219,14 +211,11 @@ def _loss_and_grad_into(layers, grad_layers, x: np.ndarray, y: np.ndarray) -> fl
         d.sum(axis=0, out=gb)
         if li > 0:
             d = (d @ layers[li][0].T) * (acts[li] > 0)
-    return loss
-
-
-def _prox_into(values: np.ndarray, anchor: np.ndarray, prox_mu: float, grad: np.ndarray) -> float:
-    """Add prox_mu·(values−anchor) to `grad` in place; return prox_mu/2·‖values−anchor‖²."""
-    diff = values - anchor
-    grad += prox_mu * diff
-    return 0.5 * prox_mu * float(diff @ diff)
+    if prox_mu > 0:
+        diff = params.values - anchor.values
+        grad += prox_mu * diff
+        loss += 0.5 * prox_mu * float(diff @ diff)
+    return loss, grad
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, lr: float) -> ModelParams:

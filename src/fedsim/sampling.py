@@ -252,8 +252,5 @@ def _as_seed(seed) -> int:
 
 
 def save_matrix_csv(matrix, path) -> None:
-    """CSV grid at full float64 precision (the bytes of `np.savetxt(..., fmt="%.17g")`)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    line = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(line % tuple(row) for row in matrix.tolist())
+    """CSV grid at full float64 precision."""
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")

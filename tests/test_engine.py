@@ -18,6 +18,7 @@ from fedsim import (
     aggregate_fedavg,
     aggregate_fednova,
     aggregate_scaffold,
+    evaluate_global,
     init_params,
     local_train,
     loss_and_grad,
@@ -353,11 +354,10 @@ def test_local_train_step_overflow_is_a_value_error():
 
 
 def test_local_train_learning_rate_decayed_to_zero_is_a_value_error():
-    # 0.01 · (1e-300)² underflows to 0 at the start of the third epoch.
-    ds, clients, g = _setup()
-    cfg = TrainConfig(epochs=3, batch_size=4, lr=0.01, decay=1e-300)
-    with pytest.raises(ValueError, match="learning rate") as info:
-        local_train(clients[0], ds, g, cfg, round_idx=1)
+    # 0.01 · (1e-300)² underflows to 0 at the start of the third epoch, so
+    # the config is rejected before any client trains.
+    with pytest.raises(ValueError, match="decay: the learning rate") as info:
+        TrainConfig(epochs=3, batch_size=4, lr=0.01, decay=1e-300)
     assert not isinstance(info.value, DivergenceError)
 
 
@@ -570,21 +570,21 @@ def test_run_round_deterministic_and_increments_round():
     def once():
         local = [ClientState(c.id, c.data.copy()) for c in clients]
         server = ServerState(g)
-        s2, rm = run_round(server, local, ds, plan, cfg, test_data=ds)
-        return s2, rm
+        s2, rm = run_round(server, local, ds, plan, cfg)
+        return s2, rm, evaluate_global(s2.global_params, ds)
 
-    a_server, a_rm = once()
-    b_server, b_rm = once()
+    a_server, a_rm, a_score = once()
+    b_server, b_rm, b_score = once()
     assert a_server.round == 1
     assert np.array_equal(a_server.global_params.values, b_server.global_params.values)
-    assert a_rm == b_rm
+    assert math.isnan(a_rm.test_accuracy) and math.isnan(a_rm.test_loss)
+    assert a_rm.sample_relative_entropy == b_rm.sample_relative_entropy
+    assert a_score == b_score
 
 
 def test_run_round_loss_decreases_in_median_over_seeds():
     # Full participation, near-iid shards, one epoch: the aggregated model's
     # loss after the round beats the initial model's loss for most seeds.
-    import fedsim.metrics as fm
-
     deltas = []
     for seed in range(5):
         ds = synth_blobs(3, 4, 30, 1.0, seed=seed)
@@ -594,9 +594,10 @@ def test_run_round_loss_decreases_in_median_over_seeds():
         server = ServerState(g)
         cfg = TrainConfig(epochs=1, batch_size=8, lr=0.05, master_seed=seed)
         plan = SamplingPlan(1, np.arange(5))
-        _, rm = run_round(server, clients, ds, plan, cfg, test_data=ds)
-        _, loss_before = fm.evaluate_global(g, ds)
-        deltas.append(rm.test_loss - loss_before)
+        server2, _ = run_round(server, clients, ds, plan, cfg)
+        _, loss_after = evaluate_global(server2.global_params, ds)
+        _, loss_before = evaluate_global(g, ds)
+        deltas.append(loss_after - loss_before)
     assert np.median(deltas) < 0
 
 

@@ -265,6 +265,44 @@ def test_cli_rejects_malformed_manual_groups(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_rejects_decay_that_underflows_the_rate_before_any_output(tmp_path, capsys):
+    # 0.01 * 5e-324 rounds to 0: the second epoch would train at rate 0.
+    with pytest.raises(ValueError, match="^decay: the learning rate decays to 0"):
+        TrainConfig(lr=0.01, decay=5e-324, epochs=2)
+    raw = {
+        "seed": 1, "n_clients": 4, "rounds": 1, "lr": 0.01, "decay": 5e-324, "epochs": 2,
+        "output_dir": str(tmp_path / "runs"),
+    }
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: decay:") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_run_with_a_directory_as_config_is_one_error_line(tmp_path, capsys):
+    rc = cli_main(["run", "--config", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_compare_names_missing_metrics_columns(tmp_path, capsys):
+    good = run_experiment(_tiny_config(tmp_path, name="good"))
+    bad = run_experiment(_tiny_config(tmp_path, name="bad"))
+    lines = (bad / "metrics.csv").read_text().splitlines()
+    kept = [",".join(f for i, f in enumerate(line.split(",")) if i != 1) for line in lines]
+    (bad / "metrics.csv").write_text("\n".join(kept) + "\n")
+    rc = cli_main(["compare", "--target", "0.5", str(good), str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "test_accuracy" in err and "Traceback" not in err
+
+
 def test_cli_reports_prepass_divergence_as_one_error_line(tmp_path, capsys):
     raw = _tiny_config(
         tmp_path, n_clients=8, hidden_sizes=[8], batch_size=4, decay=1.0,

@@ -1,4 +1,4 @@
-"""Every import in the package and in its tests is used.
+"""Every import in the package, its tests and its demos is used.
 
 A name counts as used when the module reads it anywhere or lists it in
 `__all__`. `from __future__` imports and lines marked `# noqa` are exempt.
@@ -38,7 +38,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_import_is_used():
-    files = sorted([*ROOT.glob("src/fedsim/*.py"), *ROOT.glob("tests/*.py")])
+    files = sorted(f for d in ("src/fedsim", "tests", "demos") for f in ROOT.glob(f"{d}/*.py"))
     assert len(files) > 10
     unused = [u for f in files if f.name not in EXEMPT for u in _unused_imports(f)]
     assert unused == []

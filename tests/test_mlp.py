@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsim import ModelParams, ModelSpec, forward, init_params, loss_and_grad, sgd_step
-from fedsim.mlp import layer_activations
+from fedsim.mlp import layer_activations, unpack_params
 
 
 def test_init_length_matches_shape_arithmetic():
@@ -98,6 +98,20 @@ def test_layer_activations_shapes():
     p = init_params(spec, 2)
     acts = layer_activations(p, np.random.default_rng(1).normal(size=(5, 4)))
     assert [a.shape for a in acts] == [(5, 6), (5, 3), (5, 2)]
+
+
+def test_unpack_params_of_a_stack_are_views_of_each_row():
+    spec = ModelSpec((4, 6, 3, 2))
+    stack = np.random.default_rng(5).normal(size=(3, spec.num_params))
+    stacked = unpack_params(stack, spec)
+    for c, row in enumerate(stack):
+        for (w, b), (row_w, row_b) in zip(stacked, unpack_params(row, spec)):
+            assert np.array_equal(w[c], row_w) and np.array_equal(b[c], row_b)
+    for w, b in stacked:
+        assert np.shares_memory(w, stack) and np.shares_memory(b, stack)
+    assert [(w.shape, b.shape) for w, b in stacked] == [
+        ((3, fi, fo), (3, fo)) for fi, fo in spec.layer_shapes
+    ]
 
 
 def test_prox_zero_reduces_to_plain_objective():
