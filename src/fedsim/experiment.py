@@ -288,8 +288,12 @@ def preprocess(
     diverged = [c.id for c, u in zip(clients, updates) if u is None]
     if diverged:
         raise DivergenceError(f"clients {diverged} diverged in the clustering pre-pass")
-    soft = [forward(u.new_params, public.features)[0] for u in updates]
+    # One (clients, probe rows, classes) stack of soft labels, gone before k-means.
+    soft = np.empty((len(updates), len(public), server.global_params.spec.num_classes))
+    for i, u in enumerate(updates):
+        soft[i] = forward(u.new_params, public.features)[0]
     matrix = build_similarity_matrix(soft)
+    del soft
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
 
@@ -439,7 +443,11 @@ def compare_runs(run_dirs: list, target_accuracy: float) -> dict:
         if not metrics_path.exists() or not summary_path.exists():
             raise FileNotFoundError(f"{d} is missing metrics.csv or summary.json")
         history = read_metrics_csv(metrics_path)
+        if not history:
+            raise ValueError(f"{metrics_path} has a header but no rounds")
         summary = json.loads(summary_path.read_text())
+        if not isinstance(summary, dict):
+            raise ValueError(f"{summary_path} must hold a JSON object, got {type(summary).__name__}")
         reached = rounds_to_target([m.test_accuracy for m in history], target_accuracy)
         if reached is None:
             bytes_to_target = history[-1].cumulative_bytes

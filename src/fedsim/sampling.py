@@ -24,7 +24,10 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 # OpenBLAS runs a GEMM on one thread when m*n*k <= SMP_THRESHOLD_MIN *
 # GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 = 2**18, so each tile's bits do not
 # depend on the BLAS thread count. At 1000 clients x 200 x 20 on a 2-core Xeon,
-# 64 x 64 x 64 tiles were slower and 16 x 16 x 1024 no faster.
+# 64 x 64 x 64 tiles were slower and 16 x 16 x 1024 no faster. The soft labels
+# are floored one SIM_DEPTH column chunk at a time and each batched GEMM call
+# covers one block row of tiles, so beside its input the similarity build holds
+# one padded n x n array and O(n * (SIM_DEPTH + SIM_TILE)) floats of buffers.
 SIM_TILE = 32
 SIM_DEPTH = 256
 
@@ -108,66 +111,102 @@ def kl_divergence(p, q) -> float:
 def build_similarity_matrix(soft_labels) -> np.ndarray:
     """n x n matrix of pairwise KL divergences between clients' soft labels.
 
-    The (i, j) entry is the mean over probe samples of
-    KL(row of client i || row of client j): (C[i, i] - C[i, j]) / samples,
-    clipped at 0, for C = P @ log(P).T over the floored rows P flattened to
-    (n, samples * classes). C's bytes do not depend on the BLAS thread count,
-    and taking the self term off its diagonal gives identical clients exactly 0.
+    `soft_labels` is an (n, samples, classes) array or a sequence of n
+    (samples, classes) arrays. A C-contiguous float64 array is read in place,
+    never written; anything else is converted or stacked once. The
+    (i, j) entry is the mean over probe samples of KL(row of client i || row
+    of client j): (C[i, i] - C[i, j]) / samples, clipped at 0, for
+    C = P @ log(P).T over the floored rows P flattened to (n, samples * classes).
+    C's bytes do not depend on the BLAS thread count, and taking the self term
+    off its diagonal gives identical clients exactly 0.
+
+    Memory beside the input, in float64s: the (pad, pad) accumulator, pad = n
+    rounded up to a whole `SIM_TILE`, whose buffer the result reuses; the
+    (n, samples) floored row sums; and `_cross_term`'s buffers: two
+    (pad, SIM_DEPTH) chunks, an (n, SIM_DEPTH) divisor chunk and a
+    (SIM_TILE, pad) block row of tile products. At 1000 x 200 x 20 that is
+    about 16 MB beside the 32 MB input.
     """
-    mats = [np.asarray(s, dtype=np.float64) for s in soft_labels]
-    n = len(mats)
+    if isinstance(soft_labels, np.ndarray):
+        probs = soft_labels.astype(np.float64, copy=False)
+    else:
+        mats = [np.asarray(s, dtype=np.float64) for s in soft_labels]
+        if len({m.shape for m in mats}) > 1:
+            raise ValueError("all soft-label sets must share the same (samples, classes) shape")
+        probs = np.stack(mats) if mats else np.empty((0, 0, 0))
+        del mats
+    if probs.ndim != 3:
+        raise ValueError("all soft-label sets must share the same (samples, classes) shape")
+    n, samples = probs.shape[:2]
     if n == 0:
         raise ValueError("need at least one soft-label set")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats) or len(shape) != 2:
-        raise ValueError("all soft-label sets must share the same (samples, classes) shape")
-    for i, m in enumerate(mats):
-        _check_distribution(m, f"soft labels of client {i}")
+    # Each probe row's sum after flooring, as `_floor_rows` divides by.
+    row_sums = np.empty((n, samples))
+    for i, p in enumerate(probs):
+        _check_distribution(p, f"soft labels of client {i}")
+        np.maximum(p, PROB_FLOOR).sum(axis=-1, out=row_sums[i])
 
-    # One owned stack: floored and renormalised in place, like `_floor_rows`.
-    probs = np.stack(mats)
-    del mats
-    np.maximum(probs, PROB_FLOOR, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    cross = _cross_term(probs.reshape(n, -1))
-    matrix = np.subtract(np.diagonal(cross)[:, None], cross)
-    matrix /= shape[0]
+    matrix = _cross_term(probs, row_sums)
+    self_term = np.diagonal(matrix).copy()
+    np.subtract(self_term[:, None], matrix, out=matrix)
+    matrix /= samples
     np.maximum(matrix, 0.0, out=matrix)
     np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
-def _cross_term(probs: np.ndarray) -> np.ndarray:
-    """`probs @ log(probs).T` for an (n, width) array, as an (n, n) view.
+def _cross_term(probs: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
+    """`P @ log(P).T` for the floored rows P of an (n, samples, classes) stack.
 
-    One GEMM over the whole array is split across threads by OpenBLAS, and its
-    bits then depend on the thread count. Here it is a sum, over `SIM_DEPTH`
-    column chunks in order, of one-thread `SIM_TILE` x `SIM_TILE` tiles. Rows
-    are zero-padded to whole tiles and the last chunk to full depth; the
-    padding adds exact zeros.
+    P is `probs` clipped at `PROB_FLOOR` and divided by `row_sums`, flattened
+    to (n, samples * classes); it is built one `SIM_DEPTH` column chunk at a
+    time and never held whole. One GEMM over all of P is split across threads
+    by OpenBLAS, and its bits then depend on the thread count. Here it is a
+    sum, over the column chunks in order, of one-thread `SIM_TILE` x
+    `SIM_TILE` tiles, taken one block row of tiles at a time. Rows are
+    zero-padded to whole tiles and the last chunk to full depth; the padding
+    adds exact zeros. Returns a C-contiguous (n, n) view of the padded
+    accumulator's buffer.
     """
-    n, width = probs.shape
+    n, _, classes = probs.shape
+    flat = probs.reshape(n, -1)
+    width = flat.shape[1]
     nb = -(-n // SIM_TILE)
     pad = nb * SIM_TILE
     left = np.zeros((pad, SIM_DEPTH))
     right = np.zeros((pad, SIM_DEPTH))
-    # Tile grid: left tile a times right tile b lands in prod[a, b].
-    left_tiles = left.reshape(nb, 1, SIM_TILE, SIM_DEPTH)
-    right_tiles = right.reshape(1, nb, SIM_TILE, SIM_DEPTH).transpose(0, 1, 3, 2)
-    prod = np.empty((nb, nb, SIM_TILE, SIM_TILE))
+    divisor_buf = np.empty(n * SIM_DEPTH)
+    left_tiles = left.reshape(nb, SIM_TILE, SIM_DEPTH)
+    right_tiles = right.reshape(nb, SIM_TILE, SIM_DEPTH).transpose(0, 2, 1)
+    # Block row a: left tile a times right tile b lands in columns b of `prod`,
+    # laid out like the accumulator's block row a.
+    prod = np.empty((SIM_TILE, pad))
+    prod_tiles = prod.reshape(SIM_TILE, nb, SIM_TILE).transpose(1, 0, 2)
     acc = np.zeros((pad, pad))
-    acc_tiles = acc.reshape(nb, SIM_TILE, nb, SIM_TILE).transpose(0, 2, 1, 3)
+    acc_rows = acc.reshape(nb, SIM_TILE, pad)
     for lo in range(0, width, SIM_DEPTH):
         d = min(SIM_DEPTH, width - lo)
         if d < SIM_DEPTH:
             left[:, d:] = 0.0
             right[:, d:] = 0.0
-        left[:n, :d] = probs[:, lo : lo + d]
+        chunk = left[:n, :d]
+        np.maximum(flat[:, lo : lo + d], PROB_FLOOR, out=chunk)
+        # Column c of the flattened row is probe row c // classes. `take`
+        # copies a non-contiguous or bounds-checked `out`; this one is neither.
+        divisors = divisor_buf[: n * d].reshape(n, d)
+        np.take(row_sums, np.arange(lo, lo + d) // classes, axis=1, out=divisors, mode="clip")
+        chunk /= divisors
         # Padding rows stay 0.0 in both buffers, never log(0).
-        np.log(left[:n, :d], out=right[:n, :d])
-        np.matmul(left_tiles, right_tiles, out=prod)
-        acc_tiles += prod
-    return acc[:n, :n]
+        np.log(chunk, out=right[:n, :d])
+        for a in range(nb):
+            np.matmul(left_tiles[a], right_tiles, out=prod_tiles)
+            acc_rows[a] += prod
+    # Move row i of the n x n corner from offset i * pad to i * n, in order,
+    # so no row is overwritten before it moves.
+    buf = acc.reshape(-1)
+    for i in range(1, n):
+        buf[i * n : (i + 1) * n] = buf[i * pad : i * pad + n]
+    return buf[: n * n].reshape(n, n)
 
 
 def default_cluster_count(n: int) -> int:

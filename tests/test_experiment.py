@@ -290,17 +290,40 @@ def test_cli_run_with_a_directory_as_config_is_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _compare_error(good, bad, capsys) -> str:
+    """`fedsim compare`'s stderr, asserting exit 1 and one `error:` line."""
+    rc = cli_main(["compare", "--target", "0.5", str(good), str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
 def test_cli_compare_names_missing_metrics_columns(tmp_path, capsys):
     good = run_experiment(_tiny_config(tmp_path, name="good"))
     bad = run_experiment(_tiny_config(tmp_path, name="bad"))
     lines = (bad / "metrics.csv").read_text().splitlines()
     kept = [",".join(f for i, f in enumerate(line.split(",")) if i != 1) for line in lines]
     (bad / "metrics.csv").write_text("\n".join(kept) + "\n")
-    rc = cli_main(["compare", "--target", "0.5", str(good), str(bad)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "test_accuracy" in err and "Traceback" not in err
+    assert "test_accuracy" in _compare_error(good, bad, capsys)
+
+
+def test_cli_compare_rejects_header_only_metrics(tmp_path, capsys):
+    good = run_experiment(_tiny_config(tmp_path, name="good"))
+    bad = run_experiment(_tiny_config(tmp_path, name="bad"))
+    header = (bad / "metrics.csv").read_text().splitlines()[0]
+    (bad / "metrics.csv").write_text(header + "\n")
+    err = _compare_error(good, bad, capsys)
+    assert str(bad / "metrics.csv") in err and "no rounds" in err
+
+
+def test_cli_compare_rejects_summary_that_is_not_an_object(tmp_path, capsys):
+    good = run_experiment(_tiny_config(tmp_path, name="good"))
+    bad = run_experiment(_tiny_config(tmp_path, name="bad"))
+    (bad / "summary.json").write_text("[1, 2]")
+    err = _compare_error(good, bad, capsys)
+    assert str(bad / "summary.json") in err and "JSON object" in err
 
 
 def test_cli_reports_prepass_divergence_as_one_error_line(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,36 +163,80 @@ def test_similarity_tiles_stay_single_threaded():
     assert SIM_TILE * SIM_TILE * SIM_DEPTH <= 2**18
 
 
+# sha256 of the matrix on a seeded stack of the bench's pre-pass shape (1000
+# clients x 200 probe rows x 20 classes), taken when the similarity build
+# still stacked a copy of its input and held the whole tile grid.
+_BENCH_SHAPE_SHA = "398595a617daa5cf0faca6b18240450e57ef22c846fb9a52f3a9ac2c0feefc2d"
+
+
+def test_similarity_bytes_pinned_at_the_bench_prepass_shape():
+    # Concentration 0.3 puts 1846 entries under the probability floor.
+    stack = np.random.default_rng([1000, 200, 20]).dirichlet(np.full(20, 0.3), size=(1000, 200))
+    before = hashlib.sha256(stack.tobytes()).hexdigest()
+    got = build_similarity_matrix(stack).tobytes()
+    assert hashlib.sha256(got).hexdigest() == _BENCH_SHAPE_SHA
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == before
+    assert build_similarity_matrix(list(stack)).tobytes() == got
+
+
+def test_similarity_memory_holds_no_copy_of_the_stack():
+    n, samples, classes = 512, 100, 20
+    stack = np.random.default_rng(15).dirichlet(np.ones(classes), size=(n, samples))
+    pad = -(-n // SIM_TILE) * SIM_TILE
+    bound = 8 * (
+        2 * pad * pad  # two padded n x n arrays
+        + 3 * pad * SIM_DEPTH  # the column chunk, its log and its row-sum divisors
+        + pad * SIM_TILE  # one block row of tile products
+        + n * samples  # floored probe-row sums
+    ) + 2**19
+    # Any build holds one padded n x n array; a copy of the input beside it breaks the bound.
+    assert stack.nbytes > bound - 8 * pad * pad
+    tracemalloc.start()
+    try:
+        build_similarity_matrix(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 _SIMILARITY_SHA = """
 import hashlib, sys
 import numpy as np
 from fedsim import build_similarity_matrix
-n, samples, classes = map(int, sys.argv[1:])
+n, samples, classes = map(int, sys.argv[1:4])
 rng = np.random.default_rng([n, samples, classes])
-matrix = build_similarity_matrix(list(rng.dirichlet(np.ones(classes), size=(n, samples))))
+soft = rng.dirichlet(np.ones(classes), size=(n, samples))
+matrix = build_similarity_matrix(list(soft) if sys.argv[4] == "list" else soft)
 print(hashlib.sha256(matrix.tobytes()).hexdigest())
 """
 
 
-def _similarity_sha_in_subprocess(threads, shape):
+def _similarity_sha_in_subprocess(threads, shape, kind):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(fedsim.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SIMILARITY_SHA, *map(str, shape)],
+        [sys.executable, "-c", _SIMILARITY_SHA, *map(str, shape), kind],
         env=env, capture_output=True, text=True, check=True,
     )
     return proc.stdout.strip()
 
 
 # 50 x 30 x 10 is a shape where one plain `P @ log(P).T` gives different bytes
-# on one and two OpenBLAS threads; 100 x 1000 x 10 is battery's pre-pass.
-@pytest.mark.parametrize("shape", [(50, 30, 10), (100, 1000, 10)])
-def test_similarity_bytes_do_not_depend_on_blas_threads(shape):
-    one = _similarity_sha_in_subprocess(1, shape)
+# on one and two OpenBLAS threads; 100 x 1000 x 10 is battery's pre-pass, and
+# 1000 x 200 x 20, passed as one array as `preprocess` does, cluster-scale's.
+@pytest.mark.parametrize(
+    "shape, kind",
+    [((50, 30, 10), "list"), ((100, 1000, 10), "list"), ((1000, 200, 20), "stack")],
+    ids=["shape0", "shape1", "stack"],
+)
+def test_similarity_bytes_do_not_depend_on_blas_threads(shape, kind):
+    one = _similarity_sha_in_subprocess(1, shape, kind)
     assert len(one) == 64
-    assert _similarity_sha_in_subprocess(2, shape) == one
+    assert _similarity_sha_in_subprocess(2, shape, kind) == one
+
 
 def test_default_cluster_count_values():
     assert default_cluster_count(1) == 1
