@@ -7,7 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import DivergenceError
 from .experiment import ConfigError, ExperimentConfig, compare_runs, run_experiment
 
 
@@ -89,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, DivergenceError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,10 +141,10 @@ def local_train(
     round_idx: int,
     server_control: np.ndarray | None = None,
 ) -> LocalUpdate:
-    """`train_clients` for one client; a diverged client raises DivergenceError."""
-    (result,) = _train_all([client], dataset, global_params, cfg, round_idx, server_control)
-    if isinstance(result, DivergenceError):
-        raise result
+    """`train_clients` for one client; a dropped client raises DivergenceError."""
+    (result,) = train_clients([client], dataset, global_params, cfg, round_idx, server_control)
+    if result is None:
+        raise DivergenceError(f"client {client.id} diverged in round {round_idx}")
     return result
 
 
@@ -166,21 +166,9 @@ def train_clients(
 
     Inputs are validated once, here: the feature width, finite client rows and
     labels within the model's classes. Every epoch visits every row, so the
-    steps themselves re-check nothing but divergence. A client whose loss,
-    gradient or control variate turns non-finite gets `None` and one
-    "dropping update" warning. A finite gradient whose step overflows the
-    parameters raises ValueError.
-    """
-    results = _train_all(clients, dataset, global_params, cfg, round_idx, server_control)
-    for i, result in enumerate(results):
-        if isinstance(result, DivergenceError):
-            logger.warning("dropping update: %s", result)
-            results[i] = None
-    return results
-
-
-def _train_all(clients, dataset, global_params, cfg, round_idx, server_control):
-    """One LocalUpdate or DivergenceError per client, in the clients' order.
+    steps themselves re-check nothing. A client whose loss at some step, or
+    whose final parameters or control variate, are non-finite diverged: it gets
+    `None` and one "dropping update" warning.
 
     Clients are sorted by size, and so by step count, largest first, and cut
     into lockstep groups whose stacked parameters fit in `GROUP_BYTES`. Each
@@ -216,8 +204,9 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     batch. Padded rows of the inputs and of the GEMM outputs hold +0.0, so they
     add nothing to a bias-gradient sum; padded logits stay finite, and their
     softmax-gradient rows are divided by +inf to +0.0. Each client's result is
-    bit-equal to training it alone. A diverged member is dropped and the rest
-    of the group is retrained without it.
+    bit-equal to training it alone: no operation mixes two members' values, so
+    a diverged member keeps stepping beside the others and is dropped at the
+    end, with `None` in its place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -261,6 +250,7 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     # Each member's per-layer GEMM arguments at its current batch size.
     gemms = [None] * g
     current = [0] * g
+    diverged = [False] * g
     shape = None
     for t in range(total):
         count = counts[t]
@@ -330,13 +320,11 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
             grads += dv
 
         if not bound < _LOSS_BOUND:
-            dropped = [
-                c for c in range(active)
-                if not math.isfinite(_member_loss(logp[c], table_y, rows[t, c], count[c],
-                                                  values[c], global_params.values, prox_mu))
-            ]
-            if dropped:
-                return _drop(members, dropped, global_params, cfg, round_idx, server_control)
+            for c in range(active):
+                if not diverged[c]:
+                    diverged[c] = not math.isfinite(_member_loss(
+                        logp[c], table_y, rows[t, c], count[c], values[c], global_params.values, prox_mu
+                    ))
 
         lr = rates[t, :active, None]
         if scaffold:
@@ -345,38 +333,29 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         else:
             np.multiply(grads, lr, out=deltas)
         vals -= deltas
-        # TrainConfig keeps every rate > 0, so finite new values imply a finite gradient.
-        if not np.isfinite(vals).all():
-            dropped = []
-            for c in range(active):
-                if np.isfinite(values[c]).all():
-                    continue
-                if np.isfinite(grad[c]).all():
-                    raise ValueError(f"client {members[c][0].id}: SGD step overflowed the parameters")
-                dropped.append(c)
-            return _drop(members, dropped, global_params, cfg, round_idx, server_control)
 
     results = []
     lr_effective = cfg.lr * cfg.decay ** (cfg.epochs - 1)
-    for c, (client, _, _) in enumerate(members):
-        params = ModelParams(values[c], spec)
-        n_steps = cfg.epochs * -(-len(members[c][2]) // cfg.batch_size)
-        delta_control = None
-        new_control = None
-        if scaffold:
+    for c, (client, _, y) in enumerate(members):
+        n_steps = cfg.epochs * -(-len(y) // cfg.batch_size)
+        finite = not diverged[c] and np.isfinite(values[c]).all()
+        new_control = delta_control = None
+        if finite and scaffold:
             # c_i - c + (g - w) / (steps * lr), one operation at a time into
             # two buffers; `delta` is free once the steps are done.
-            new_control = np.subtract(global_params.values, params.values)
+            new_control = np.subtract(global_params.values, values[c])
             new_control /= n_steps * lr_effective
             np.subtract(controls[c], server_control, out=delta[0])
             new_control += delta[0]
-            if not np.all(np.isfinite(new_control)):
-                results.append(DivergenceError(f"client {client.id} control variate diverged"))
-                continue
+            finite = np.isfinite(new_control).all()
             delta_control = new_control - controls[c]
-        results.append(
-            LocalUpdate(client.id, params, len(members[c][2]), n_steps, delta_control, new_control)
-        )
+        if not finite:
+            logger.warning("dropping update: client %d diverged in round %d", client.id, round_idx)
+            results.append(None)
+            continue
+        results.append(LocalUpdate(
+            client.id, ModelParams(values[c], spec), len(y), n_steps, delta_control, new_control
+        ))
     return results
 
 
@@ -431,17 +410,6 @@ def _member_loss(logp, labels, rows, m, values, anchor, prox_mu):
         diff = values - anchor
         loss += 0.5 * prox_mu * float(diff @ diff)
     return loss
-
-
-def _drop(members, dropped, global_params, cfg, round_idx, server_control):
-    """Results of a group whose `dropped` members diverged: the rest retrain without them."""
-    keep = [mem for i, mem in enumerate(members) if i not in dropped]
-    rest = iter(_train_group(keep, global_params, cfg, round_idx, server_control) if keep else ())
-    return [
-        DivergenceError(f"client {members[i][0].id} diverged in round {round_idx}")
-        if i in dropped else next(rest)
-        for i in range(len(members))
-    ]
 
 
 def _sorted_weights(updates: list[LocalUpdate]):
@@ -520,13 +488,14 @@ def run_round(
     cfg: TrainConfig,
     *,
     ledger: metrics_mod.CostLedger | None = None,
-    updates: list[LocalUpdate] | None = None,
+    updates: list[LocalUpdate | None] | None = None,
 ) -> tuple[ServerState, metrics_mod.RoundMetrics]:
     """Train the sampled clients from one global snapshot and aggregate.
 
-    Pre-computed `updates` (e.g. from the clustering pre-pass) skip the training
-    step but go through identical aggregation and accounting. The round's
-    accuracy and loss are nan: callers score the new global model with
+    Pre-computed `updates` (e.g. from the clustering pre-pass) hold one entry
+    per client, in client-id order, `None` for a dropped client; they skip the
+    training step but go through identical aggregation and accounting. The
+    round's accuracy and loss are nan: callers score the new global model with
     `metrics.evaluate_global`, as `run_experiment` does while the next round
     trains.
     """
@@ -543,8 +512,7 @@ def run_round(
             dataset, snapshot, cfg, round_idx, server.server_control,
         )
     else:
-        by_id = {u.client_id: u for u in updates}
-        results = [by_id[int(c)] for c in plan.selected]
+        results = [updates[c] for c in plan.selected.tolist()]
     accepted = [u for u in results if u is not None]
 
     new_control = server.server_control

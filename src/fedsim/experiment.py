@@ -35,7 +35,6 @@ from .data import (
 )
 from .engine import (
     ClientState,
-    DivergenceError,
     LocalUpdate,
     ServerState,
     TrainConfig,
@@ -259,7 +258,7 @@ class ExperimentConfig:
 class PreprocessResult:
     matrix: np.ndarray
     assignment: ClusterAssignment
-    updates: list[LocalUpdate]
+    updates: list[LocalUpdate | None]
 
 
 def preprocess(
@@ -278,20 +277,21 @@ def preprocess(
     labels on the shared probe set, and "uploads" them; the server builds the
     KL similarity matrix (`build_similarity_matrix`: per-sample KL averaged
     over the probe set) and clusters its rows. Client training here doubles
-    as the clients' round-1 local training (same seeds, same schedule). The
-    one-time probe download and soft-label upload go on `ledger` if given.
+    as the clients' round-1 local training (same seeds, same schedule), so
+    `updates` holds one entry per client, in client-id order, ready for
+    `run_round`. A client dropped for divergence has `None` there, as in any
+    round, and keeps the global model it was sent: its soft labels are that
+    model's, so it is still clustered. The one-time probe download and
+    soft-label upload go on `ledger` if given.
     """
     if len(public) < 1:
         raise ValueError("public dataset is empty")
 
     updates = train_clients(clients, dataset, server.global_params, cfg, 1, server.server_control)
-    diverged = [c.id for c, u in zip(clients, updates) if u is None]
-    if diverged:
-        raise DivergenceError(f"clients {diverged} diverged in the clustering pre-pass")
     # One (clients, probe rows, classes) stack of soft labels, gone before k-means.
     soft = np.empty((len(updates), len(public), server.global_params.spec.num_classes))
     for i, u in enumerate(updates):
-        soft[i] = forward(u.new_params, public.features)[0]
+        soft[i] = forward(server.global_params if u is None else u.new_params, public.features)[0]
     matrix = build_similarity_matrix(soft)
     del soft
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k

@@ -27,7 +27,7 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 # 64 x 64 x 64 tiles were slower and 16 x 16 x 1024 no faster. The soft labels
 # are floored one SIM_DEPTH column chunk at a time and each batched GEMM call
 # covers one block row of tiles, so beside its input the similarity build holds
-# one padded n x n array and O(n * (SIM_DEPTH + SIM_TILE)) floats of buffers.
+# one n x n array and O(n * (SIM_DEPTH + SIM_TILE)) floats of buffers.
 SIM_TILE = 32
 SIM_DEPTH = 256
 
@@ -87,6 +87,8 @@ def _floor_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_distribution(p: np.ndarray, name: str) -> None:
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(p < 0):
         raise ValueError(f"{name} has negative entries")
     sums = p.sum(axis=-1)
@@ -120,12 +122,12 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     C's bytes do not depend on the BLAS thread count, and taking the self term
     off its diagonal gives identical clients exactly 0.
 
-    Memory beside the input, in float64s: the (pad, pad) accumulator, pad = n
-    rounded up to a whole `SIM_TILE`, whose buffer the result reuses; the
-    (n, samples) floored row sums; and `_cross_term`'s buffers: two
-    (pad, SIM_DEPTH) chunks, an (n, SIM_DEPTH) divisor chunk and a
-    (SIM_TILE, pad) block row of tile products. At 1000 x 200 x 20 that is
-    about 16 MB beside the 32 MB input.
+    Memory beside the input, in float64s: the (n, n) accumulator, which
+    becomes the result; the (n, samples) floored row sums; and `_cross_term`'s
+    buffers: two (pad, SIM_DEPTH) chunks, pad = n rounded up to a whole
+    `SIM_TILE`, an (n, SIM_DEPTH) divisor chunk and a (SIM_TILE, pad) block row
+    of tile products. At 1000 x 200 x 20 that is about 16 MB beside the 32 MB
+    input.
     """
     if isinstance(soft_labels, np.ndarray):
         probs = soft_labels.astype(np.float64, copy=False)
@@ -165,8 +167,8 @@ def _cross_term(probs: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
     sum, over the column chunks in order, of one-thread `SIM_TILE` x
     `SIM_TILE` tiles, taken one block row of tiles at a time. Rows are
     zero-padded to whole tiles and the last chunk to full depth; the padding
-    adds exact zeros. Returns a C-contiguous (n, n) view of the padded
-    accumulator's buffer.
+    adds exact zeros. Each block row's products for the n real columns are
+    added straight into the (n, n) result.
     """
     n, _, classes = probs.shape
     flat = probs.reshape(n, -1)
@@ -179,11 +181,10 @@ def _cross_term(probs: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
     left_tiles = left.reshape(nb, SIM_TILE, SIM_DEPTH)
     right_tiles = right.reshape(nb, SIM_TILE, SIM_DEPTH).transpose(0, 2, 1)
     # Block row a: left tile a times right tile b lands in columns b of `prod`,
-    # laid out like the accumulator's block row a.
+    # laid out like rows a * SIM_TILE onward of the padded product.
     prod = np.empty((SIM_TILE, pad))
     prod_tiles = prod.reshape(SIM_TILE, nb, SIM_TILE).transpose(1, 0, 2)
-    acc = np.zeros((pad, pad))
-    acc_rows = acc.reshape(nb, SIM_TILE, pad)
+    acc = np.zeros((n, n))
     for lo in range(0, width, SIM_DEPTH):
         d = min(SIM_DEPTH, width - lo)
         if d < SIM_DEPTH:
@@ -200,13 +201,9 @@ def _cross_term(probs: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
         np.log(chunk, out=right[:n, :d])
         for a in range(nb):
             np.matmul(left_tiles[a], right_tiles, out=prod_tiles)
-            acc_rows[a] += prod
-    # Move row i of the n x n corner from offset i * pad to i * n, in order,
-    # so no row is overwritten before it moves.
-    buf = acc.reshape(-1)
-    for i in range(1, n):
-        buf[i * n : (i + 1) * n] = buf[i * pad : i * pad + n]
-    return buf[: n * n].reshape(n, n)
+            top = a * SIM_TILE
+            acc[top : top + SIM_TILE] += prod[: n - top, :n]
+    return acc
 
 
 def default_cluster_count(n: int) -> int:
@@ -238,7 +235,11 @@ def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: 
         centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
         if converged:
             break
-    return labels, float(((points - centers[labels]) ** 2).sum())
+    # The same operations as `((points - centers[labels]) ** 2).sum()`, in one n x n temporary.
+    diff = centers[labels]
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    return labels, float(diff.sum())
 
 
 def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
@@ -246,6 +247,8 @@ def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
     points = np.asarray(matrix, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("matrix must be 2-d")
+    if not np.isfinite(points).all():
+        raise ValueError("matrix has non-finite entries")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")

@@ -340,7 +340,7 @@ def test_local_train_prox_term_overflow_diverges():
             local_train(client, ds, g, cfg, round_idx=1)
 
 
-def test_local_train_step_overflow_is_a_value_error():
+def test_local_train_step_overflow_diverges():
     # A finite loss and gradient whose step overflows the parameters.
     ds, clients, g = _setup()
     big = type(ds)(ds.features * 100.0, ds.labels, ds.num_classes)
@@ -348,9 +348,8 @@ def test_local_train_step_overflow_is_a_value_error():
     loss, grad = loss_and_grad(g, big.features[sel], big.labels[sel])
     assert math.isfinite(loss) and np.all(np.isfinite(grad))
     cfg = TrainConfig(epochs=1, batch_size=len(sel), lr=1e307)
-    with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         local_train(clients[0], big, g, cfg, round_idx=1)
-    assert not isinstance(info.value, DivergenceError)
 
 
 def test_local_train_learning_rate_decayed_to_zero_is_a_value_error():

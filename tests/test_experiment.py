@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -14,14 +15,19 @@ from fedsim import (
     ConfigError,
     ExperimentConfig,
     ModelSpec,
+    SamplingPlan,
     ServerState,
     TrainConfig,
+    aggregate_fedavg,
     compare_runs,
     init_params,
+    local_train,
     make_clients,
+    partition_dirichlet,
     partition_manual,
     preprocess,
     run_experiment,
+    run_round,
     synth_blobs,
     synth_public,
 )
@@ -326,19 +332,70 @@ def test_cli_compare_rejects_summary_that_is_not_an_object(tmp_path, capsys):
     assert str(bad / "summary.json") in err and "JSON object" in err
 
 
-def test_cli_reports_prepass_divergence_as_one_error_line(tmp_path, capsys):
+def test_preprocess_clusters_diverged_clients_and_round_1_drops_them(caplog):
+    ds = synth_blobs(3, 4, 20, 1.0, seed=4)
+    clients = make_clients(partition_dirichlet(ds, 6, 10.0, seed=5))
+    bad = ds.features.copy()
+    for i in (1, 4):
+        bad[clients[i].data] *= 1e160
+    ds_bad = type(ds)(bad, ds.labels, ds.num_classes)
+    server = ServerState(init_params(ModelSpec((4, 3)), 6))
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05, master_seed=7)
+    with caplog.at_level(logging.WARNING):
+        pre = preprocess(clients, ds_bad, synth_public(4, 30, 8), server, cfg, cluster_k=2)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"dropping update: client {i} diverged in round 1" for i in (1, 4)
+    ]
+    assert pre.updates[1] is None and pre.updates[4] is None
+    # Both keep the global model they were sent, so their soft labels are the same.
+    assert pre.matrix[1, 4] == pre.matrix[4, 1] == 0.0
+    assert pre.assignment.num_clients == 6
+    healthy = [pre.updates[i] for i in (0, 2, 3, 5)]
+    for u in healthy:
+        alone = local_train(clients[u.client_id], ds_bad, server.global_params, cfg, 1)
+        assert np.array_equal(u.new_params.values, alone.new_params.values)
+    plan = SamplingPlan(1, np.arange(6))
+    server1, _ = run_round(server, clients, ds_bad, plan, cfg, updates=pre.updates)
+    assert np.array_equal(server1.global_params.values, aggregate_fedavg(healthy).values)
+
+
+def test_stratified_run_with_a_diverging_client_clusters_every_client(tmp_path, caplog):
+    ds = synth_blobs(3, 4, 30, 1.0, seed=2)
+    # manual_groups [2, [0]] gives client 0 the first half of label 0's rows.
+    features = ds.features.copy()
+    features[np.flatnonzero(ds.labels == 0)[:15]] *= 1e160
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    np.savetxt(train_csv, np.column_stack([features, ds.labels]), delimiter=",", fmt="%.17g")
+    np.savetxt(test_csv, np.column_stack([ds.features, ds.labels]), delimiter=",", fmt="%.17g")
+    cfg = _tiny_config(
+        tmp_path, n_clients=6, rounds=3, csv_path=str(train_csv), test_csv_path=str(test_csv),
+        partition="manual", manual_groups=[[2, [0]], [2, [1]], [2, [2]]], hidden_sizes=[],
+        sampler="stratified", cluster_k=2,
+    )
+    with caplog.at_level(logging.WARNING):
+        out = run_experiment(cfg)
+    assert "dropping update: client 0 diverged in round 1" in caplog.text
+    clusters = json.loads((out / "clusters.json").read_text())
+    assert sorted(clusters) == [str(i) for i in range(6)]
+    rows = read_metrics_csv(out / "metrics.csv")
+    assert [m.round for m in rows] == [1, 2, 3]
+    assert all(np.isfinite([m.test_accuracy, m.test_loss]).all() for m in rows)
+
+
+def test_cli_reports_nan_soft_labels_as_one_error_line(tmp_path, capsys):
+    # Huge but finite models: no client is dropped, yet their probe predictions are nan.
     raw = _tiny_config(
         tmp_path, n_clients=8, hidden_sizes=[8], batch_size=4, decay=1.0,
-        sampler="stratified", lr=1e200,
+        sampler="stratified", lr=1e50,
     ).to_dict()
-    cfg_path = tmp_path / "diverge.json"
+    cfg_path = tmp_path / "nan.json"
     cfg_path.write_text(json.dumps(raw))
     with np.errstate(all="ignore"):
         rc = cli_main(["run", "--config", cfg_path.as_posix()])
     assert rc == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].endswith("diverged in the clustering pre-pass")
+    assert len(errors) == 1 and errors[0].endswith("has non-finite entries")
     assert "Traceback" not in err
 
 

@@ -23,7 +23,7 @@ from fedsim import (
     uniform_sample,
 )
 from fedsim.mlp import PROB_FLOOR
-from fedsim.sampling import SIM_DEPTH, SIM_TILE, _lloyd_once, save_matrix_csv
+from fedsim.sampling import KMEANS_MAX_ITER, SIM_DEPTH, SIM_TILE, _lloyd_once, save_matrix_csv
 
 
 def test_kl_identity_is_zero():
@@ -47,6 +47,8 @@ def test_kl_rejects_length_mismatch_and_bad_inputs():
         kl_divergence([0.7, 0.7], [0.5, 0.5])
     with pytest.raises(ValueError):
         kl_divergence([-0.1, 1.1], [0.5, 0.5])
+    with pytest.raises(ValueError, match="non-finite"):
+        kl_divergence([0.5, 0.5], [np.nan, 1.0])
 
 
 def test_kl_never_negative_over_random_pairs():
@@ -257,6 +259,9 @@ def test_kmeans_k_equals_one_and_n():
     assert full.inertia == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         kmeans_cluster(m, 7, seed=0)
+    m[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        kmeans_cluster(m, 1, seed=0)
 
 
 def _exhaustive_two_partition(points):
@@ -309,6 +314,29 @@ def test_lloyd_inertia_non_increasing():
             rng.bit_generator.state = state
             inertias.append(_lloyd_once(points, 4, rng, max_iter)[1])
         assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
+
+
+def test_lloyd_inertia_bit_equals_the_elementwise_expression():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, n + 1))
+        points = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        labels, inertia = _lloyd_once(points, k, rng, KMEANS_MAX_ITER)
+        centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
+        assert inertia == float(((points - centers[labels]) ** 2).sum())
+
+
+def test_kmeans_memory_holds_one_n_by_n_temporary():
+    n = 300
+    points = np.random.default_rng(17).random((n, n))
+    tracemalloc.start()
+    try:
+        kmeans_cluster(points, 8, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * points.nbytes
 
 
 def test_kmeans_handles_duplicate_points():
