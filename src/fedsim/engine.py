@@ -8,16 +8,18 @@ diverges to non-finite values is dropped from the round and logged; the
 simulation keeps going.
 
 `train_clients` trains a round's clients in lockstep: groups of clients
-advance one SGD step at a time together. Each matrix product is still one BLAS
-call on one client's own rows, while the elementwise work, the softmax, the
-bias-gradient sums and the parameter update run once per step on stacks of
-the group's clients. Every client's update is bit-equal to training it alone
+advance one SGD step at a time together. At each step, each matrix product is
+one call per run of adjacent clients whose batches have the same row count, on
+those rows only, while the elementwise work, the softmax, the bias-gradient
+sums and the parameter update run once per step on stacks of the group's
+clients. Every client's update is bit-equal to training it alone
 (`local_train`). A group holds as many clients as fit `GROUP_BYTES` of
 stacked parameters, so a model too large for two trains one client at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -110,12 +112,12 @@ class TrainConfig:
             errors.append("epochs: must be >= 1")
         if self.batch_size < 1:
             errors.append("batch_size: must be >= 1")
-        if not self.lr > 0:
-            errors.append("lr: must be > 0")
+        if not 0 < self.lr < math.inf:
+            errors.append("lr: must be finite and > 0")
         if not 0 < self.decay <= 1:
             errors.append("decay: must be in (0, 1]")
-        if self.prox_mu < 0:
-            errors.append("prox_mu: must be >= 0")
+        if not 0 <= self.prox_mu < math.inf:
+            errors.append("prox_mu: must be finite and >= 0")
         if not errors and not self.epoch_rates()[-1] > 0:
             errors.append(f"decay: the learning rate decays to 0 within {self.epochs} epochs")
         if errors:
@@ -198,15 +200,17 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     """Advance (client, x, y) members one SGD step at a time, together.
 
     Members come sorted by step count, longest first, so the clients still
-    training at any step are a prefix of the group. Every GEMM is a separate
-    BLAS call on one client's own rows; the rest of a step runs once on
-    (clients, rows, width) stacks whose rows are padded to the step's largest
-    batch. Padded rows of the inputs and of the GEMM outputs hold +0.0, so they
-    add nothing to a bias-gradient sum; padded logits stay finite, and their
-    softmax-gradient rows are divided by +inf to +0.0. Each client's result is
-    bit-equal to training it alone: no operation mixes two members' values, so
-    a diverged member keeps stepping beside the others and is dropped at the
-    end, with `None` in its place.
+    training at any step are a prefix of the group. Each GEMM is one call per
+    run of adjacent members with the same row count m at that step, on their m
+    real rows only; a stacked product of unpadded rows has the bits of one
+    product per member. The rest of a step runs once on (clients, rows, width)
+    stacks whose rows are padded to the step's largest batch. Padded rows of
+    the inputs and of the GEMM outputs hold +0.0, zeroed whenever the row
+    counts change, so they add nothing to a bias-gradient sum; padded logits
+    stay finite, and their softmax-gradient rows are divided by +inf to +0.0.
+    Each client's result is bit-equal to training it alone: no operation mixes
+    two members' values, so a diverged member keeps stepping beside the others
+    and is dropped at the end, with `None` in its place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -247,44 +251,37 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     if prox_mu > 0:
         diff = np.empty_like(values)
 
-    # Each member's per-layer GEMM arguments at its current batch size.
-    gemms = [None] * g
-    current = [0] * g
+    ins = [x_buf, *a_bufs[:-1]]  # each layer's input
     diverged = [False] * g
-    shape = None
     for t in range(total):
         count = counts[t]
-        active = g - count.count(0)
-        span = max(count)
-        for c in range(active):
-            m = count[c]
-            if m == current[c]:
-                continue
-            if m < current[c]:
+        if t == 0 or count != counts[t - 1]:
+            active = g - count.count(0)
+            span = max(count)
+            # Runs of adjacent members with the same row count m share each
+            # GEMM; a run of one is indexed by an int, so its GEMMs stay 2-D.
+            runs = []
+            start = 0
+            for m, run in itertools.groupby(count[:active]):
+                k = len(list(run))
+                r = start if k == 1 else slice(start, start + k)
+                start += k
+                runs.append((r, m))
                 for buf in z_bufs + d_bufs:
-                    buf[c, m : current[c]] = 0.0
-            denom[c, :m] = m
-            denom[c, m:] = np.inf
-            current[c] = m
-            gemms[c] = _gemm_args(
-                [w[c] for w in weights], [gw[c] for gw in grad_weights], x_buf[c, :m],
-                *([b[c, :m] for b in bufs] for bufs in (z_bufs, a_bufs, d_bufs)),
-            )
-        if (active, span) != shape:
-            shape = (active, span)
+                    buf[r, m:] = 0.0
+                denom[r, :m] = m
+                denom[r, m:] = np.inf
             xs = x_buf[:active]
             zs, acts, ds = ([buf[:active, :span] for buf in bufs] for bufs in (z_bufs, a_bufs, d_bufs))
             bs = [b[:active, None, :] for b in biases]
             gbs = [gb[:active] for gb in grad_biases]
             den = denom[:active, :span]
             vals, grads, deltas = values[:active], grad[:active], delta[:active]
-        run = gemms[:active]
 
         np.take(table_x, rows[t, :active], axis=0, out=xs)
         for li in range(last + 1):
-            for member in run:
-                x, w, z = member[li][0]
-                np.matmul(x, w, out=z)
+            for r, m in runs:
+                np.matmul(ins[li][r, :m], weights[li][r], out=z_bufs[li][r, :m])
             np.add(zs[li], bs[li], out=acts[li])
             if li < last:
                 np.maximum(acts[li], 0.0, out=acts[li])
@@ -299,18 +296,16 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         d[at] -= 1.0
         d /= den
         for li in range(last, -1, -1):
-            for member in run:
-                a_in, d_out, gw = member[li][1]
-                np.matmul(a_in, d_out, out=gw)
+            for r, m in runs:
+                np.matmul(ins[li][r, :m].mT, d_bufs[li][r, :m], out=grad_weights[li][r])
             if shapes[li][1] > 1:
                 ds[li].sum(axis=1, out=gbs[li])
             else:  # A width-1 row sum is pairwise over the rows: sum real rows only.
-                for c, member in enumerate(run):
-                    member[li][1][1].sum(axis=0, out=grad_biases[li][c])
+                for r, m in runs:
+                    d_bufs[li][r, :m].sum(axis=-2, out=grad_biases[li][r])
             if li > 0:
-                for member in run:
-                    d_out, w_t, d_in = member[li][2]
-                    np.matmul(d_out, w_t, out=d_in)
+                for r, m in runs:
+                    np.matmul(d_bufs[li][r, :m], weights[li][r].mT, out=d_bufs[li - 1][r, :m])
                 ds[li - 1] *= acts[li - 1] > 0
         if prox_mu > 0:
             dv = diff[:active]
@@ -388,19 +383,6 @@ def _schedule(members, cfg, round_idx):
         rates[: cfg.epochs * nb, c] = np.repeat(epoch_rates, nb)
         base += n
     return table_x, table_y, rows, rates
-
-
-def _gemm_args(weights, grad_weights, x, zs, acts, ds):
-    """Per layer: (forward, weight-gradient, backprop) matmul arguments of one member."""
-    ins = [x] + acts[:-1]
-    return [
-        (
-            (ins[li], w, zs[li]),
-            (ins[li].T, ds[li], grad_weights[li]),
-            (ds[li], w.T, ds[li - 1]) if li > 0 else None,
-        )
-        for li, w in enumerate(weights)
-    ]
 
 
 def _member_loss(logp, labels, rows, m, values, anchor, prox_mu):

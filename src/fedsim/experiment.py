@@ -191,14 +191,17 @@ class ExperimentConfig:
         """Check every field's type against its annotation, then its value.
 
         Raises one ConfigError naming each offending field. The value checks
-        run only once every type is right, since they compare and index.
+        run only once every type is right and every float finite, since they
+        compare and index.
         """
         hints = typing.get_type_hints(type(self))
-        wrong = [
-            f"{f.name}: must be {f.type}, got {type(v).__name__} {v!r}"
-            for f in dataclasses.fields(self)
-            if not _fits(v := getattr(self, f.name), hints[f.name])
-        ]
+        wrong = []
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if not _fits(v, hints[f.name]):
+                wrong.append(f"{f.name}: must be {f.type}, got {type(v).__name__} {v!r}")
+            elif isinstance(v, float) and not math.isfinite(v):
+                wrong.append(f"{f.name}: must be finite, got {v!r}")
         if wrong:
             raise ConfigError("; ".join(wrong))
         errors: list[str] = []

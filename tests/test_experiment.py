@@ -288,6 +288,23 @@ def test_cli_rejects_decay_that_underflows_the_rate_before_any_output(tmp_path, 
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "field, raw", [("spread", "NaN"), ("beta", "Infinity"), ("lr", "Infinity"), ("prox_mu", "NaN")]
+)
+def test_cli_rejects_non_finite_floats_before_any_output(tmp_path, capsys, field, raw):
+    # Python's json parses NaN and Infinity, so `--set` can pass them in.
+    if field in ("lr", "prox_mu"):
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            TrainConfig(**{field: json.loads(raw)})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(tmp_path, n_clients=6, algorithm="fedprox").to_dict()))
+    rc = cli_main(["run", "--config", cfg_path.as_posix(), "--set", f"{field}={raw}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_run_with_a_directory_as_config_is_one_error_line(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(tmp_path)])
     assert rc == 1

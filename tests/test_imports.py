@@ -1,7 +1,10 @@
-"""Every import in the package, its tests and its demos is used.
+"""Every import in the package, its tests and its demos is used, and so is
+every private helper of the package.
 
 A name counts as used when the module reads it anywhere or lists it in
 `__all__`. `from __future__` imports and lines marked `# noqa` are exempt.
+A module-level `_`-prefixed function, class or constant counts as used when
+package code outside its own definition reads or imports it.
 """
 
 import ast
@@ -41,4 +44,45 @@ def test_every_import_is_used():
     files = sorted(f for d in ("src/fedsim", "tests", "demos") for f in ROOT.glob(f"{d}/*.py"))
     assert len(files) > 10
     unused = [u for f in files if f.name not in EXEMPT for u in _unused_imports(f)]
+    assert unused == []
+
+
+def _private_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level `_`-prefixed (not dunder) definitions, by name."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((n, stmt) for n in names if n.startswith("_") and not n.startswith("__"))
+    return defined
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a node reads, reads as an attribute, or imports."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def test_every_private_helper_is_used():
+    trees = {f: ast.parse(f.read_text()) for f in sorted(ROOT.glob("src/fedsim/*.py"))}
+    assert len(trees) > 5
+    refs = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = []
+    for path, tree in trees.items():
+        for name, definition in _private_names(tree).items():
+            # A recursive call, or a constant naming itself, is not a use.
+            if not any(name in names for stmt, names in refs if stmt is not definition):
+                unused.append(f"{path.relative_to(ROOT)}:{definition.lineno}: {name}")
     assert unused == []
