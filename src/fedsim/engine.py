@@ -8,12 +8,13 @@ diverges to non-finite values is dropped from the round and logged; the
 simulation keeps going.
 
 `train_clients` trains a round's clients in lockstep: groups of clients
-advance one SGD step at a time together. At each step, each matrix product is
-one call per run of adjacent clients whose batches have the same row count, on
-those rows only, while the elementwise work, the softmax, the bias-gradient
-sums and the parameter update run once per step on stacks of the group's
-clients. Every client's update is bit-equal to training it alone
-(`local_train`). A group holds as many clients as fit `GROUP_BYTES` of
+advance one SGD step at a time together. At each step, each matrix product and
+each bias-gradient sum is one call per run of adjacent clients whose batches
+have the same row count, on those rows only; the elementwise work, the softmax
+and the parameter update run once per step on stacks of the group's clients,
+padded to the step's largest batch. Padded rows are scratch: no product or sum
+reads one into a real row. Every client's update is bit-equal to training it
+alone (`local_train`). A group holds as many clients as fit `GROUP_BYTES` of
 stacked parameters, so a model too large for two trains one client at a time.
 """
 
@@ -200,17 +201,16 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     """Advance (client, x, y) members one SGD step at a time, together.
 
     Members come sorted by step count, longest first, so the clients still
-    training at any step are a prefix of the group. Each GEMM is one call per
-    run of adjacent members with the same row count m at that step, on their m
-    real rows only; a stacked product of unpadded rows has the bits of one
-    product per member. The rest of a step runs once on (clients, rows, width)
-    stacks whose rows are padded to the step's largest batch. Padded rows of
-    the inputs and of the GEMM outputs hold +0.0, zeroed whenever the row
-    counts change, so they add nothing to a bias-gradient sum; padded logits
-    stay finite, and their softmax-gradient rows are divided by +inf to +0.0.
-    Each client's result is bit-equal to training it alone: no operation mixes
-    two members' values, so a diverged member keeps stepping beside the others
-    and is dropped at the end, with `None` in its place.
+    training at any step are a prefix of the group. Each GEMM and each
+    bias-gradient sum is one call per run of adjacent members with the same
+    row count m at that step, on their m real rows only; a stacked product or
+    sum of unpadded rows has the bits of one per member. The rest of a step
+    runs once on (clients, rows, width) stacks whose rows are padded to the
+    step's largest batch. Padded rows are scratch: they hold whatever earlier
+    steps left there, and only row-wise operations touch them. Each client's
+    result is bit-equal to training it alone: no operation mixes two members'
+    values, so a diverged member keeps stepping beside the others and is
+    dropped at the end, with `None` in its place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -221,13 +221,7 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     table_x, table_y, rows, rates = _schedule(members, cfg, round_idx)
     total, _, width = rows.shape
     pad = len(table_x) - 1
-    real = rows != pad
-    counts = real.sum(axis=2).tolist()
-    # Per step, (member, row, label) of every real row: the one-hot targets.
-    step_of, *where = np.nonzero(real)
-    where.append(table_y[rows[real]])
-    bounds = np.searchsorted(step_of, np.arange(total + 1)).tolist()
-    targets = [tuple(a[lo:hi] for a in where) for lo, hi in zip(bounds, bounds[1:])]
+    counts = (rows != pad).sum(axis=2).tolist()
 
     # Stacked state, and per-layer buffers of shape (members, width, layer width).
     values = np.tile(global_params.values, (g, 1))
@@ -236,10 +230,12 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     weights, biases = zip(*unpack_params(values, spec))
     grad_weights, grad_biases = zip(*unpack_params(grad, spec))
     x_buf = np.empty((g, width, spec.input_dim))
+    # Zeros keep padded rows finite while a member's real rows are: padded
+    # logits reach the summed loss below.
     z_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]  # forward GEMM outputs
     a_bufs = [np.empty((g, width, fo)) for _, fo in shapes]  # after bias (and ReLU)
     d_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]  # backprop deltas
-    denom = np.full((g, width, 1), np.inf)
+    denom = np.empty((g, 1, 1))  # each member's row count
     controls = [None] * g
     if scaffold:
         correction = np.empty_like(values)
@@ -259,7 +255,8 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
             active = g - count.count(0)
             span = max(count)
             # Runs of adjacent members with the same row count m share each
-            # GEMM; a run of one is indexed by an int, so its GEMMs stay 2-D.
+            # GEMM and bias sum; a run of one is indexed by an int, so its
+            # calls stay 2-D.
             runs = []
             start = 0
             for m, run in itertools.groupby(count[:active]):
@@ -267,15 +264,12 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
                 r = start if k == 1 else slice(start, start + k)
                 start += k
                 runs.append((r, m))
-                for buf in z_bufs + d_bufs:
-                    buf[r, m:] = 0.0
-                denom[r, :m] = m
-                denom[r, m:] = np.inf
+                denom[r] = m
+            grid = np.ogrid[:active, :span]
             xs = x_buf[:active]
             zs, acts, ds = ([buf[:active, :span] for buf in bufs] for bufs in (z_bufs, a_bufs, d_bufs))
             bs = [b[:active, None, :] for b in biases]
-            gbs = [gb[:active] for gb in grad_biases]
-            den = denom[:active, :span]
+            den = denom[:active]
             vals, grads, deltas = values[:active], grad[:active], delta[:active]
 
         np.take(table_x, rows[t, :active], axis=0, out=xs)
@@ -286,9 +280,10 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
             if li < last:
                 np.maximum(acts[li], 0.0, out=acts[li])
         logp = log_softmax(acts[last])
-        at = targets[t]
-        # Every target log-probability is <= 0, so a sum below the bound
-        # means every member's loss is finite.
+        # Each row's one-hot target; a padded row's is label 0.
+        at = (*grid, table_y[rows[t, :active, :span]])
+        # Every target log-probability is <= 0, and a padded row's is <= 0 or
+        # nan, so a sum below the bound means every member's loss is finite.
         bound = -float(logp[at].sum())
 
         d = ds[last]
@@ -298,11 +293,7 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         for li in range(last, -1, -1):
             for r, m in runs:
                 np.matmul(ins[li][r, :m].mT, d_bufs[li][r, :m], out=grad_weights[li][r])
-            if shapes[li][1] > 1:
-                ds[li].sum(axis=1, out=gbs[li])
-            else:  # A width-1 row sum is pairwise over the rows: sum real rows only.
-                for r, m in runs:
-                    d_bufs[li][r, :m].sum(axis=-2, out=grad_biases[li][r])
+                d_bufs[li][r, :m].sum(axis=-2, out=grad_biases[li][r])
             if li > 0:
                 for r, m in runs:
                     np.matmul(d_bufs[li][r, :m], weights[li][r].mT, out=d_bufs[li - 1][r, :m])

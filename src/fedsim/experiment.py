@@ -182,6 +182,16 @@ class ExperimentConfig:
         labels = [lb for _, group_labels in self.manual_groups for lb in group_labels]
         if len(set(labels)) < len(labels):
             return ["manual_groups: a label appears in two groups"]
+        if self.csv_path is None:
+            # Each label's per_class samples are split among the group's clients.
+            errors = [
+                f"manual_groups: entry {i} has {count} clients, "
+                f"more than per_class = {self.per_class} samples of each label"
+                for i, (count, _) in enumerate(self.manual_groups)
+                if count > self.per_class
+            ]
+            if errors:
+                return errors
         total = sum(count for count, _ in self.manual_groups)
         if total != self.n_clients:
             return [f"manual_groups: groups define {total} clients, expected {self.n_clients}"]
@@ -207,6 +217,11 @@ class ExperimentConfig:
         errors: list[str] = []
         if self.n_clients < 1:
             errors.append("n_clients: must be >= 1")
+        elif self.csv_path is None and self.n_clients > self.num_classes * self.per_class:
+            errors.append(
+                f"n_clients: {self.n_clients} clients but only "
+                f"num_classes*per_class = {self.num_classes * self.per_class} training samples"
+            )
         if self.rounds < 1:
             errors.append("rounds: must be >= 1")
         if self.num_classes < 2:
@@ -458,7 +473,9 @@ def compare_runs(run_dirs: list, target_accuracy: float) -> dict:
         else:
             bytes_to_target = history[reached - 1].cumulative_bytes
             display = str(reached)
-        one_time = int(summary.get("one_time_bytes", 0))
+        one_time = summary.get("one_time_bytes", 0)
+        if type(one_time) is not int:
+            raise ValueError(f"{summary_path}: one_time_bytes must be an integer, got {one_time!r}")
         rows.append(
             {
                 "run": str(d),

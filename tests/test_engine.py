@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,12 @@ def test_local_train_matches_reference_loop(algorithm):
     sizes=[25, 12, 37, 21, 15, 33], hidden=[1], batch_size=16, epochs=1,
     algorithm="fedavg", one_per_group=False, seed=0,
 )
+# Runs of two members with padded last batches, beside a longer run, at
+# widths > 1: each run's GEMMs and bias sums read its own rows only.
+@example(
+    sizes=[40, 40, 23, 23, 7], hidden=[5, 3], batch_size=16, epochs=2,
+    algorithm="fedavg", one_per_group=False, seed=0,
+)
 def test_train_clients_matches_reference_loop(
     sizes, hidden, batch_size, epochs, algorithm, one_per_group, seed
 ):
@@ -252,6 +259,24 @@ def test_train_clients_matches_reference_loop(
         if algorithm == "scaffold":
             assert np.array_equal(up.new_control, new_control)
             assert np.array_equal(up.delta_control, new_control - old_control)
+
+
+def test_train_clients_schedule_memory_per_scheduled_row():
+    # 40 clients of 2,000 rows, 5 epochs of batches of 16: the peak traced
+    # memory of training them, per (epoch, client, row), stays under 40 bytes.
+    n_clients, rows, epochs = 40, 2000, 5
+    ds = synth_blobs(3, 4, -(-n_clients * rows // 3), 1.0, seed=0)
+    order = np.random.default_rng(0).permutation(len(ds))
+    clients = [ClientState(i, order[i * rows : (i + 1) * rows]) for i in range(n_clients)]
+    g = init_params(ModelSpec((4, 4, 3)), 0)
+    cfg = TrainConfig(epochs=epochs, batch_size=16, lr=0.05)
+    tracemalloc.start()
+    try:
+        train_clients(clients, ds, g, cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (epochs * n_clients * rows) < 40
 
 
 def test_train_clients_drops_only_the_diverging_client(caplog):

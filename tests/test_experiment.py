@@ -305,6 +305,33 @@ def test_cli_rejects_non_finite_floats_before_any_output(tmp_path, capsys, field
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("n_clients", {"n_clients": 16}),
+        ("n_clients", {"n_clients": 16, "partition": "quantity"}),
+        ("manual_groups", {
+            "n_clients": 12, "partition": "manual", "manual_groups": [[11, [0]], [1, [1, 2]]],
+        }),
+        # Each label's 5 samples are split 6 ways, so one client gets none.
+        ("manual_groups", {
+            "n_clients": 7, "partition": "manual", "manual_groups": [[6, [0, 1]], [1, [2]]],
+        }),
+    ],
+    ids=["dirichlet", "quantity", "manual", "manual-two-labels"],
+)
+def test_cli_rejects_more_clients_than_samples_before_any_output(tmp_path, capsys, field, overrides):
+    # 3 classes of 5 training samples each.
+    cfg = {**_tiny_config(tmp_path, per_class=5, sample_ratio=1.0).to_dict(), **overrides}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_run_with_a_directory_as_config_is_one_error_line(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(tmp_path)])
     assert rc == 1
@@ -347,6 +374,17 @@ def test_cli_compare_rejects_summary_that_is_not_an_object(tmp_path, capsys):
     (bad / "summary.json").write_text("[1, 2]")
     err = _compare_error(good, bad, capsys)
     assert str(bad / "summary.json") in err and "JSON object" in err
+
+
+@pytest.mark.parametrize("value", [None, 1.5, "12"])
+def test_cli_compare_rejects_non_integer_one_time_bytes(tmp_path, capsys, value):
+    good = run_experiment(_tiny_config(tmp_path, name="good"))
+    bad = run_experiment(_tiny_config(tmp_path, name="bad"))
+    summary = json.loads((bad / "summary.json").read_text())
+    summary["one_time_bytes"] = value
+    (bad / "summary.json").write_text(json.dumps(summary))
+    err = _compare_error(good, bad, capsys)
+    assert str(bad / "summary.json") in err and "one_time_bytes" in err
 
 
 def test_preprocess_clusters_diverged_clients_and_round_1_drops_them(caplog):
