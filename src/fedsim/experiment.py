@@ -378,10 +378,7 @@ def _collect_score(rm: RoundMetrics, scoring: Future) -> None:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Run the configured experiment and return its artifact directory."""
     cfg.validate()
-    out = Path(cfg.output_dir) / cfg.name
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
-
+    # Everything a config can fail on is built before the run directory exists.
     train, test = _build_data(cfg)
     public = synth_public(train.dim, cfg.public_count, [cfg.seed, _PUBLIC_SALT])
     spec = ModelSpec((train.dim, *cfg.hidden_sizes, train.num_classes))
@@ -391,6 +388,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     control = np.zeros(spec.num_params) if cfg.algorithm == "scaffold" else None
     server = ServerState(global_params, control, 0, cfg.seed)
     tc = cfg.train_config()
+
+    out = Path(cfg.output_dir) / cfg.name
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
 
     ledger = CostLedger()
     history = []

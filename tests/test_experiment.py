@@ -332,6 +332,28 @@ def test_cli_rejects_more_clients_than_samples_before_any_output(tmp_path, capsy
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "header, n_clients, message",
+    [("", 12, "more clients than samples"), ("f0,f1,label", 4, "could not convert string 'f0'")],
+    ids=["eight-rows-twelve-clients", "header-row"],
+)
+def test_cli_rejects_unbuildable_csv_before_any_output(tmp_path, capsys, header, n_clients, message):
+    ds = synth_blobs(2, 2, 4, 1.0, seed=3)
+    csv_path = tmp_path / "train.csv"
+    np.savetxt(
+        csv_path, np.column_stack([ds.features, ds.labels]), delimiter=",", fmt="%.17g",
+        header=header, comments="",
+    )
+    cfg = _tiny_config(tmp_path, csv_path=str(csv_path), n_clients=n_clients).to_dict()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_run_with_a_directory_as_config_is_one_error_line(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(tmp_path)])
     assert rc == 1

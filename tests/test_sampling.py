@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim
@@ -23,7 +23,14 @@ from fedsim import (
     uniform_sample,
 )
 from fedsim.mlp import PROB_FLOOR
-from fedsim.sampling import KMEANS_MAX_ITER, SIM_DEPTH, SIM_TILE, _lloyd_once, save_matrix_csv
+from fedsim.sampling import (
+    CSV_BLOCK_VALUES,
+    KMEANS_MAX_ITER,
+    SIM_DEPTH,
+    SIM_TILE,
+    _lloyd_once,
+    save_matrix_csv,
+)
 
 
 def test_kl_identity_is_zero():
@@ -419,6 +426,67 @@ def test_matrix_csv_full_precision_roundtrip(tmp_path):
     save_matrix_csv(m, path)
     back = np.loadtxt(path, delimiter=",")
     assert np.array_equal(back, m)
+
+
+def _savetxt_bytes(matrix, path) -> bytes:
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
+    return path.read_bytes()
+
+
+# The fast formatter's range: 0, -0.0 and magnitudes in [1e-4, 1e15).
+_FIXED = st.just(0.0) | st.floats(1e-4, 1e15, exclude_max=True)
+_ANY = st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 2.5e-308, 1e308, -1e308]) | st.floats()
+
+
+@st.composite
+def _csv_matrices(draw):
+    """Float64 matrices from 1 x 1 to more rows than one block, some blocks out of range."""
+    cols = draw(st.integers(1, 12))
+    tall = CSV_BLOCK_VALUES // cols + draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(1, 1), (1, cols), (cols, 1), (3, cols), (tall, cols)]))
+    pool = draw(st.lists(_FIXED | _FIXED.map(lambda v: -v), min_size=1, max_size=40))
+    matrix = np.resize(np.array(pool), shape)
+    size = matrix.size
+    for i, v in draw(st.lists(st.tuples(st.integers(0, size - 1), _ANY), max_size=3)):
+        matrix.flat[i] = v
+    return matrix
+
+
+# Both neighbours of the powers of ten where %.17g's layout or the fast range changes.
+_EDGE_NEIGHBOURS = np.array(
+    [np.nextafter(p, t) for p in (1e-5, 1e-4, 1e14, 1e15, 1e16, 1e17) for t in (0.0, math.inf)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_csv_matrices())
+# Exact 17-digit ties: odd multiples of 1/8 just above 1e14 end in 5 at the 18th digit.
+@example(matrix=(1e14 + np.arange(1, 40, 2) / 8)[None, :])
+# One block holding every neighbour goes through np.savetxt; the in-range ones alone do not.
+@example(matrix=_EDGE_NEIGHBOURS[None, :])
+@example(matrix=_EDGE_NEIGHBOURS[(_EDGE_NEIGHBOURS >= 1e-4) & (_EDGE_NEIGHBOURS < 1e15)][:, None])
+@example(matrix=np.array([[0.0, -0.0, 0.0], [0.5, 100.0, 1e-4]]))
+def test_matrix_csv_bytes_equal_savetxt(tmp_path_factory, matrix):
+    tmp = tmp_path_factory.mktemp("csv")
+    save_matrix_csv(matrix, tmp / "got.csv")
+    assert (tmp / "got.csv").read_bytes() == _savetxt_bytes(matrix, tmp / "want.csv")
+
+
+def test_matrix_csv_in_range_never_falls_back(tmp_path, monkeypatch):
+    # Several blocks of log-uniform values in [1e-4, 1e3) with a zero diagonal,
+    # like a similarity matrix: every block is in the fast range.
+    rng = np.random.default_rng(5)
+    m = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), size=(300, 300)))
+    np.fill_diagonal(m, 0.0)
+    assert m.size > 4 * CSV_BLOCK_VALUES
+    want = _savetxt_bytes(m, tmp_path / "want.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.savetxt called for an in-range block")
+
+    monkeypatch.setattr(fedsim.sampling.np, "savetxt", refuse)
+    save_matrix_csv(m, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == want
 
 
 def test_similar_rows_mark_same_group_clients(manual_split):
