@@ -13,7 +13,9 @@ each bias-gradient sum is one call per run of adjacent clients whose batches
 have the same row count, on those rows only; the elementwise work, the softmax
 and the parameter update run once per step on stacks of the group's clients,
 padded to the step's largest batch. Padded rows are scratch: no product or sum
-reads one into a real row. Every client's update is bit-equal to training it
+reads one into a real row. Each step's update is formed in place in the
+gradient stack, so a member holds its parameters, its gradient and (SCAFFOLD)
+its gradient correction. Every client's update is bit-equal to training it
 alone (`local_train`). A group holds as many clients as fit `GROUP_BYTES` of
 stacked parameters, so a model too large for two trains one client at a time.
 """
@@ -207,10 +209,12 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     sum of unpadded rows has the bits of one per member. The rest of a step
     runs once on (clients, rows, width) stacks whose rows are padded to the
     step's largest batch. Padded rows are scratch: they hold whatever earlier
-    steps left there, and only row-wise operations touch them. Each client's
-    result is bit-equal to training it alone: no operation mixes two members'
-    values, so a diverged member keeps stepping beside the others and is
-    dropped at the end, with `None` in its place.
+    steps left there, and only row-wise operations touch them. A step's
+    update, (grad + correction) * lr, is formed in the gradient stack, which
+    the next step rewrites whole before reading it. Each client's result is
+    bit-equal to training it alone: no operation mixes two members' values, so
+    a diverged member keeps stepping beside the others and is dropped at the
+    end, with `None` in its place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -225,8 +229,7 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
 
     # Stacked state, and per-layer buffers of shape (members, width, layer width).
     values = np.tile(global_params.values, (g, 1))
-    grad = np.empty_like(values)
-    delta = np.empty_like(values)  # each step's lr-scaled update
+    grad = np.empty_like(values)  # each step's gradient, then its lr-scaled update
     weights, biases = zip(*unpack_params(values, spec))
     grad_weights, grad_biases = zip(*unpack_params(grad, spec))
     x_buf = np.empty((g, width, spec.input_dim))
@@ -265,12 +268,12 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
                 start += k
                 runs.append((r, m))
                 denom[r] = m
-            grid = np.ogrid[:active, :span]
+            grid = (np.arange(active)[:, None], np.arange(span))
             xs = x_buf[:active]
             zs, acts, ds = ([buf[:active, :span] for buf in bufs] for bufs in (z_bufs, a_bufs, d_bufs))
             bs = [b[:active, None, :] for b in biases]
             den = denom[:active]
-            vals, grads, deltas = values[:active], grad[:active], delta[:active]
+            vals, grads = values[:active], grad[:active]
 
         np.take(table_x, rows[t, :active], axis=0, out=xs)
         for li in range(last + 1):
@@ -312,13 +315,10 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
                         logp[c], table_y, rows[t, c], count[c], values[c], global_params.values, prox_mu
                     ))
 
-        lr = rates[t, :active, None]
         if scaffold:
-            np.add(grads, correction[:active], out=deltas)
-            deltas *= lr
-        else:
-            np.multiply(grads, lr, out=deltas)
-        vals -= deltas
+            grads += correction[:active]
+        grads *= rates[t, :active, None]
+        vals -= grads
 
     results = []
     lr_effective = cfg.lr * cfg.decay ** (cfg.epochs - 1)
@@ -327,12 +327,11 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
         finite = not diverged[c] and np.isfinite(values[c]).all()
         new_control = delta_control = None
         if finite and scaffold:
-            # c_i - c + (g - w) / (steps * lr), one operation at a time into
-            # two buffers; `delta` is free once the steps are done.
+            # (g - w) / (steps * lr) - (c - c_i): the bits of c_i - c + (g - w)
+            # / (steps * lr) unless the quotient holds a -0.0 where c == c_i.
             new_control = np.subtract(global_params.values, values[c])
             new_control /= n_steps * lr_effective
-            np.subtract(controls[c], server_control, out=delta[0])
-            new_control += delta[0]
+            new_control -= correction[c]
             finite = np.isfinite(new_control).all()
             delta_control = new_control - controls[c]
         if not finite:

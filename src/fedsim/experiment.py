@@ -215,6 +215,9 @@ class ExperimentConfig:
         if wrong:
             raise ConfigError("; ".join(wrong))
         errors: list[str] = []
+        # The run directory is output_dir / name, so a name must stay inside it.
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            errors.append(f"name: must be one plain directory name, got {self.name!r}")
         if self.n_clients < 1:
             errors.append("n_clients: must be >= 1")
         elif self.csv_path is None and self.n_clients > self.num_classes * self.per_class:

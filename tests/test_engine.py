@@ -225,6 +225,17 @@ def test_local_train_matches_reference_loop(algorithm):
     sizes=[40, 40, 23, 23, 7], hidden=[5, 3], batch_size=16, epochs=2,
     algorithm="fedavg", one_per_group=False, seed=0,
 )
+# SCAFFOLD in groups of one with short last batches over three epochs: the
+# correction is added before the lr scaling, and the new control subtracts it.
+@example(
+    sizes=[23, 17, 9], hidden=[5], batch_size=4, epochs=3,
+    algorithm="scaffold", one_per_group=True, seed=0,
+)
+# The proximal term on runs of equal-count members.
+@example(
+    sizes=[40, 40, 23, 23, 7], hidden=[5, 3], batch_size=16, epochs=2,
+    algorithm="fedprox", one_per_group=False, seed=0,
+)
 def test_train_clients_matches_reference_loop(
     sizes, hidden, batch_size, epochs, algorithm, one_per_group, seed
 ):
@@ -254,11 +265,44 @@ def test_train_clients_matches_reference_loop(
             client, ds, g, cfg, 4, server_control
         )
         assert up.client_id == client.id
+        # `tobytes` also tells +0.0 from -0.0, which `array_equal` does not.
         assert np.array_equal(up.new_params.values, params.values)
+        assert up.new_params.values.tobytes() == params.values.tobytes()
         assert up.local_steps == steps
         if algorithm == "scaffold":
+            delta_control = new_control - old_control
             assert np.array_equal(up.new_control, new_control)
-            assert np.array_equal(up.delta_control, new_control - old_control)
+            assert np.array_equal(up.delta_control, delta_control)
+            assert up.new_control.tobytes() == new_control.tobytes()
+            assert up.delta_control.tobytes() == delta_control.tobytes()
+
+
+@pytest.mark.parametrize("algorithm, bound", [("fedavg", 4.8), ("scaffold", 11.8)])
+def test_train_clients_peak_memory_in_parameter_vectors(algorithm, bound):
+    # Three one-client groups of a 67,843-parameter model. A member's step
+    # holds its parameters, its gradient and (SCAFFOLD) its correction, and
+    # each result keeps its parameters (and two control vectors).
+    spec = ModelSpec((4, 256, 256, 3))
+    assert engine_mod.GROUP_BYTES // (8 * spec.num_params) == 1
+    ds = synth_blobs(3, 4, 20, 1.0, seed=0)
+    order = np.random.default_rng(0).permutation(len(ds))
+    clients = [ClientState(i, order[20 * i : 20 * (i + 1)]) for i in range(3)]
+    g = init_params(spec, 0)
+    cfg = TrainConfig(algorithm=algorithm, epochs=2, batch_size=8, lr=0.05)
+    server_control = None
+    if algorithm == "scaffold":
+        rng = np.random.default_rng(1)
+        server_control = rng.normal(scale=0.01, size=spec.num_params)
+        for c in clients:
+            c.control = rng.normal(scale=0.01, size=spec.num_params)
+    tracemalloc.start()
+    try:
+        updates = train_clients(clients, ds, g, cfg, 1, server_control)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(u is not None for u in updates)
+    assert peak / (8 * spec.num_params) < bound
 
 
 def test_train_clients_schedule_memory_per_scheduled_row():

@@ -257,6 +257,20 @@ def test_cli_rejects_wrongly_typed_field(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["../escaped", "{tmp}/absolute", "", ".", "..", "a/b"])
+def test_cli_rejects_a_name_that_leaves_output_dir(tmp_path, capsys, name):
+    # The run directory is output_dir / name; an empty name would write the
+    # run's files straight into output_dir.
+    name = name.format(tmp=tmp_path.as_posix())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(tmp_path, rounds=1).to_dict()))
+    rc = cli_main(["run", "--config", cfg_path.as_posix(), "--set", f"name={json.dumps(name)}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: name:") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_cli_rejects_malformed_manual_groups(tmp_path, capsys):
     raw = {
         "seed": 1, "n_clients": 2, "rounds": 1, "partition": "manual",
