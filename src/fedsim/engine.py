@@ -8,7 +8,8 @@ diverges to non-finite values is dropped from the round and logged; the
 simulation keeps going.
 
 `train_clients` trains a round's clients in lockstep: groups of clients
-advance one SGD step at a time together. At each step, each matrix product and
+advance one SGD step at a time together, on one table of their rows that is
+gathered and validated once per group. At each step, each matrix product and
 each bias-gradient sum is one call per run of adjacent clients whose batches
 have the same row count, on those rows only; the elementwise work, the softmax
 and the parameter update run once per step on stacks of the group's clients,
@@ -169,15 +170,15 @@ def train_clients(
     (c - c_i) and reports the control-variate delta derived from the parameter
     displacement over the effective last-epoch rate.
 
-    Inputs are validated once, here: the feature width, finite client rows and
-    labels within the model's classes. Every epoch visits every row, so the
-    steps themselves re-check nothing. A client whose loss at some step, or
+    Inputs are validated once per group: the feature width, finite client rows
+    and labels within the model's classes. Every epoch visits every row, so
+    the steps themselves re-check nothing. A client whose loss at some step, or
     whose final parameters or control variate, are non-finite diverged: it gets
     `None` and one "dropping update" warning.
 
     Clients are sorted by size, and so by step count, largest first, and cut
     into lockstep groups whose stacked parameters fit in `GROUP_BYTES`. Each
-    group's rows are validated just before it trains.
+    group's rows are gathered into one table and checked once before it trains.
     """
     if cfg.algorithm == "scaffold" and server_control is None:
         raise ValueError("scaffold requires the server control variate")
@@ -189,18 +190,15 @@ def train_clients(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(order), size):
             group = order[start : start + size]
-            members = [
-                (c, *_check_training_batch(global_params, dataset.features[c.data], dataset.labels[c.data]))
-                for c in (clients[i] for i in group)
-            ]
-            trained = _train_group(members, global_params, cfg, round_idx, server_control)
+            members = [clients[i] for i in group]
+            trained = _train_group(members, dataset, global_params, cfg, round_idx, server_control)
             for i, result in zip(group, trained):
                 results[i] = result
     return results
 
 
-def _train_group(members, global_params, cfg, round_idx, server_control):
-    """Advance (client, x, y) members one SGD step at a time, together.
+def _train_group(members, dataset, global_params, cfg, round_idx, server_control):
+    """Advance member clients one SGD step at a time, together.
 
     Members come sorted by step count, longest first, so the clients still
     training at any step are a prefix of the group. Each GEMM and each
@@ -222,10 +220,9 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     scaffold = cfg.algorithm == "scaffold"
     prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
     g = len(members)
-    table_x, table_y, rows, rates = _schedule(members, cfg, round_idx)
+    table_x, table_y, rows, rates = _schedule(members, dataset, global_params, cfg, round_idx)
     total, _, width = rows.shape
-    pad = len(table_x) - 1
-    counts = (rows != pad).sum(axis=2).tolist()
+    counts = (rows != len(table_x) - 1).sum(axis=2).tolist()
 
     # Stacked state, and per-layer buffers of shape (members, width, layer width).
     values = np.tile(global_params.values, (g, 1))
@@ -242,7 +239,7 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
     controls = [None] * g
     if scaffold:
         correction = np.empty_like(values)
-        for c, (client, _, _) in enumerate(members):
+        for c, client in enumerate(members):
             # A client without a control variate has c_i = 0; the scalar 0.0
             # gives the same bits as a zero vector in every use below.
             controls[c] = 0.0 if client.control is None else client.control
@@ -322,8 +319,9 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
 
     results = []
     lr_effective = cfg.lr * cfg.decay ** (cfg.epochs - 1)
-    for c, (client, _, y) in enumerate(members):
-        n_steps = cfg.epochs * -(-len(y) // cfg.batch_size)
+    sizes = [client.data.size for client in members]
+    for c, client in enumerate(members):
+        n_steps = cfg.epochs * -(-sizes[c] // cfg.batch_size)
         finite = not diverged[c] and np.isfinite(values[c]).all()
         new_control = delta_control = None
         if finite and scaffold:
@@ -339,31 +337,33 @@ def _train_group(members, global_params, cfg, round_idx, server_control):
             results.append(None)
             continue
         results.append(LocalUpdate(
-            client.id, ModelParams(values[c], spec), len(y), n_steps, delta_control, new_control
+            client.id, ModelParams(values[c], spec), sizes[c], n_steps, delta_control, new_control
         ))
     return results
 
 
-def _schedule(members, cfg, round_idx):
-    """Every step's batch of each (client, x, y) member, and its learning rate.
+def _schedule(members, dataset, global_params, cfg, round_idx):
+    """Every step's batch of each member client, and its learning rate.
 
-    Returns the members' stacked rows and labels, ending in an all-zero row
-    `pad`; a (steps, members, width) array of row indices, each batch padded
-    with `pad`; and a (steps, members) array of learning rates, 0 once a
-    member's schedule has ended. Members come sorted by step count, longest
-    first.
+    Returns the members' rows and labels, gathered from `dataset` in one step
+    and validated once, ending in an all-zero row `pad`; a (steps, members,
+    width) array of row indices, each batch padded with `pad`; and a (steps,
+    members) array of learning rates, 0 once a member's schedule has ended.
+    Members come sorted by step count, longest first.
     """
-    sizes = [len(y) for _, _, y in members]
+    sizes = [client.data.size for client in members]
     per_epoch = [-(-n // cfg.batch_size) for n in sizes]
     width = min(cfg.batch_size, max(sizes))
     pad = sum(sizes)
-    table_x = np.concatenate([x for _, x, _ in members] + [np.zeros((1, members[0][1].shape[1]))])
-    table_y = np.concatenate([y for _, _, y in members] + [np.zeros(1, dtype=np.int64)])
+    index = np.append(np.concatenate([client.data for client in members]), 0)
+    table_x, table_y = dataset.features[index], dataset.labels[index]
+    table_x[pad] = table_y[pad] = 0
+    _check_training_batch(global_params, table_x[:pad], table_y[:pad])
     rows = np.full((cfg.epochs * per_epoch[0], len(members), width), pad)
     rates = np.zeros(rows.shape[:2])
     epoch_rates = cfg.epoch_rates()
     base = 0
-    for c, ((client, _, _), n, nb) in enumerate(zip(members, sizes, per_epoch)):
+    for c, (client, n, nb) in enumerate(zip(members, sizes, per_epoch)):
         rng = np.random.default_rng([cfg.master_seed, round_idx, client.id])
         # One row per epoch, drawn as successive `rng.permutation(n)` calls draw them.
         orders = rng.permuted(np.tile(np.arange(base, base + n), (cfg.epochs, 1)), axis=1)

@@ -307,7 +307,8 @@ def test_train_clients_peak_memory_in_parameter_vectors(algorithm, bound):
 
 def test_train_clients_schedule_memory_per_scheduled_row():
     # 40 clients of 2,000 rows, 5 epochs of batches of 16: the peak traced
-    # memory of training them, per (epoch, client, row), stays under 40 bytes.
+    # memory of training them, per (epoch, client, row), stays under 21 bytes:
+    # each group's rows are gathered once, straight into its table.
     n_clients, rows, epochs = 40, 2000, 5
     ds = synth_blobs(3, 4, -(-n_clients * rows // 3), 1.0, seed=0)
     order = np.random.default_rng(0).permutation(len(ds))
@@ -320,7 +321,39 @@ def test_train_clients_schedule_memory_per_scheduled_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (epochs * n_clients * rows) < 40
+    assert peak / (epochs * n_clients * rows) < 21
+
+
+def test_train_clients_checks_each_group_once(monkeypatch):
+    # Twelve clients as one lockstep group, then one client per group: the
+    # rows are validated in one call per group, and a non-finite row in one
+    # member still stops its group.
+    ds = synth_blobs(3, 4, 20, 1.0, seed=0)
+    order = np.random.default_rng(0).permutation(len(ds))
+    clients = [ClientState(i, order[5 * i : 5 * (i + 1)]) for i in range(12)]
+    g = init_params(SPEC, 0)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05)
+    check = engine_mod._check_training_batch
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(engine_mod, "_check_training_batch", counted)
+    for group_bytes, groups in ((engine_mod.GROUP_BYTES, 1), (8 * SPEC.num_params, 12)):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "GROUP_BYTES", group_bytes)
+            updates = train_clients(clients, ds, g, cfg, 1)
+        assert all(u is not None for u in updates)
+        assert len(calls) == groups
+    bad = ds.features.copy()
+    bad[clients[7].data[2]] = np.nan
+    calls.clear()
+    with pytest.raises(ValueError, match="non-finite"):
+        train_clients(clients, type(ds)(bad, ds.labels, ds.num_classes), g, cfg, 1)
+    assert len(calls) == 1
 
 
 def test_train_clients_drops_only_the_diverging_client(caplog):
