@@ -149,9 +149,16 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
         raise ValueError("need at least one soft-label set")
     # Each probe row's sum after flooring, as `_floor_rows` divides by.
     row_sums = np.empty((n, samples))
-    for i, p in enumerate(probs):
-        _check_distribution(p, f"soft labels of client {i}")
-        np.maximum(p, PROB_FLOOR).sum(axis=-1, out=row_sums[i])
+    for lo in range(0, n, SIM_TILE):
+        block = probs[lo : lo + SIM_TILE]
+        # Flags exactly the clients `_check_distribution` rejects: NaN and
+        # negative entries fail `>= 0`, and +inf makes its row sum inf or NaN.
+        bad = ~(block >= 0).all(axis=(1, 2))
+        bad |= ~(np.abs(block.sum(axis=-1) - 1.0) <= 1e-9).all(axis=-1)
+        if bad.any():
+            first = int(np.argmax(bad))
+            _check_distribution(block[first], f"soft labels of client {lo + first}")
+        np.maximum(block, PROB_FLOOR).sum(axis=-1, out=row_sums[lo : lo + SIM_TILE])
 
     matrix = _cross_term(probs, row_sums)
     self_term = np.diagonal(matrix).copy()
@@ -218,14 +225,21 @@ def default_cluster_count(n: int) -> int:
     return max(1, int(round(math.log2(n))))
 
 
-def _lloyd_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
-    """One restart of Lloyd's algorithm; returns labels and inertia."""
-    n = points.shape[0]
-    centers = points[rng.choice(n, size=k, replace=False)].copy()
+def _lloyd_once(points: np.ndarray, norms: np.ndarray, centers: np.ndarray, max_iter: int):
+    """Lloyd's algorithm from `centers`; returns labels and inertia.
+
+    `norms` is each point's squared norm as an (n, 1) column. Squared
+    distances are `norms + |center|^2 - 2 * points @ centers.T`, with the
+    (n, k) product doubled in place: scaling by 2 is exact, so the bits are
+    those of `(2.0 * points) @ centers.T` without its n x n temporary.
+    """
+    n, k = points.shape[0], centers.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
-    norms = (points * points).sum(axis=1)[:, None]
     for _ in range(max_iter):
-        d2 = norms + (centers * centers).sum(axis=1)[None, :] - 2.0 * points @ centers.T
+        cross = points @ centers.T
+        cross *= 2.0
+        d2 = norms + (centers * centers).sum(axis=1)[None, :]
+        d2 -= cross
         np.maximum(d2, 0.0, out=d2)
         new_labels = np.argmin(d2, axis=1)
         own = d2[np.arange(n), new_labels]
@@ -258,9 +272,11 @@ def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
+    norms = (points * points).sum(axis=1)[:, None]
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        labels, inertia = _lloyd_once(points, k, rng, KMEANS_MAX_ITER)
+        centers = points[rng.choice(n, size=k, replace=False)]
+        labels, inertia = _lloyd_once(points, norms, centers, KMEANS_MAX_ITER)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return ClusterAssignment(best_labels, k, best_inertia)

@@ -209,6 +209,51 @@ def test_similarity_memory_holds_no_copy_of_the_stack():
     assert peak < bound
 
 
+_MESSAGES = {
+    "nan": "has non-finite entries",
+    "inf": "has non-finite entries",
+    "negative": "has negative entries",
+    "sum": "rows must sum to 1 within 1e-9",
+}
+
+
+def _spoil(row: np.ndarray, kind: str) -> None:
+    if kind == "nan":
+        row[1] = np.nan
+    elif kind == "inf":
+        row[1] = np.inf
+    elif kind == "negative":
+        row[:2] = [-0.125, row[0] + row[1] + 0.125]  # still sums to 1
+    else:
+        row[0] += 1e-6
+
+
+# Blocks of SIM_TILE clients: the first and last client of the first block,
+# the first of the second, and the last client in a short last block.
+@pytest.mark.parametrize("client", [0, SIM_TILE - 1, SIM_TILE, 2 * SIM_TILE + 6 - 1])
+@pytest.mark.parametrize("kind", sorted(_MESSAGES))
+def test_similarity_names_the_first_bad_client(client, kind):
+    n = 2 * SIM_TILE + 6
+    stack = np.random.default_rng(18).dirichlet(np.ones(6), size=(n, 7))
+    _spoil(stack[client, 3], kind)
+    if client + 1 < n:
+        _spoil(stack[n - 1, 0], "nan")  # a later bad client is not the one named
+    with pytest.raises(ValueError) as err:
+        build_similarity_matrix(stack)
+    assert str(err.value) == f"soft labels of client {client} {_MESSAGES[kind]}"
+
+
+def test_similarity_checks_valid_input_without_per_client_calls(monkeypatch):
+    calls = []
+    check = fedsim.sampling._check_distribution
+    monkeypatch.setattr(
+        fedsim.sampling, "_check_distribution", lambda *a: calls.append(a) or check(*a)
+    )
+    stack = np.random.default_rng(19).dirichlet(np.ones(5), size=(3 * SIM_TILE + 1, 4))
+    build_similarity_matrix(stack)
+    assert calls == []
+
+
 _SIMILARITY_SHA = """
 import hashlib, sys
 import numpy as np
@@ -310,16 +355,19 @@ def test_kmeans_deterministic_per_seed():
     assert a.inertia == b.inertia
 
 
+def _norms(points):
+    return (points * points).sum(axis=1)[:, None]
+
+
 def test_lloyd_inertia_non_increasing():
     # Lloyd's algorithm stopped after 1, 2, ... iterations from the same start.
     rng = np.random.default_rng(10)
     points = rng.normal(size=(30, 4))
     for _ in range(5):
-        state = rng.bit_generator.state
-        inertias = []
-        for max_iter in range(1, 21):
-            rng.bit_generator.state = state
-            inertias.append(_lloyd_once(points, 4, rng, max_iter)[1])
+        centers = points[rng.choice(30, size=4, replace=False)]
+        inertias = [
+            _lloyd_once(points, _norms(points), centers, max_iter)[1] for max_iter in range(1, 21)
+        ]
         assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
 
@@ -329,9 +377,64 @@ def test_lloyd_inertia_bit_equals_the_elementwise_expression():
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, n + 1))
         points = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
-        labels, inertia = _lloyd_once(points, k, rng, KMEANS_MAX_ITER)
+        centers = points[rng.choice(n, size=k, replace=False)]
+        labels, inertia = _lloyd_once(points, _norms(points), centers, KMEANS_MAX_ITER)
         centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
         assert inertia == float(((points - centers[labels]) ** 2).sum())
+
+
+def _reference_lloyd(points, centers, max_iter):
+    """Lloyd's algorithm with the distance expression `2.0 * points @ centers.T`."""
+    n, k = points.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    norms = (points * points).sum(axis=1)[:, None]
+    for _ in range(max_iter):
+        d2 = norms + (centers * centers).sum(axis=1)[None, :] - 2.0 * points @ centers.T
+        np.maximum(d2, 0.0, out=d2)
+        new_labels = np.argmin(d2, axis=1)
+        own = d2[np.arange(n), new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(own))
+                new_labels[far] = c
+                own[far] = -np.inf
+        converged = np.array_equal(new_labels, labels)
+        labels = new_labels
+        centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
+        if converged:
+            break
+    return labels, float(((points - centers[labels]) ** 2).sum())
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_lloyd_step_bit_equals_the_doubled_product_expression(scale):
+    rng = np.random.default_rng(20)
+    for n, k in [(40, 5), (97, 10), (200, 10)]:
+        # Clustered rows, like a similarity matrix of client groups, plus noise.
+        groups = rng.integers(0, k, size=n)
+        points = (rng.random((k, n))[groups] + 0.3 * rng.random((n, n))) * scale
+        for _ in range(3):
+            centers = points[rng.choice(n, size=k, replace=False)]
+            want = _reference_lloyd(points, centers, KMEANS_MAX_ITER)
+            got = _lloyd_once(points, _norms(points), centers, KMEANS_MAX_ITER)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+
+def test_kmeans_computes_the_norms_once_per_call(monkeypatch):
+    seen = []
+    lloyd = fedsim.sampling._lloyd_once
+
+    def spy(points, norms, centers, max_iter):
+        seen.append(norms)
+        return lloyd(points, norms, centers, max_iter)
+
+    monkeypatch.setattr(fedsim.sampling, "_lloyd_once", spy)
+    points = np.random.default_rng(21).random((30, 30))
+    kmeans_cluster(points, 4, seed=2)
+    assert len(seen) == fedsim.sampling.KMEANS_RESTARTS
+    assert all(norms is seen[0] for norms in seen)
+    assert np.array_equal(seen[0], _norms(points))
 
 
 def test_kmeans_memory_holds_one_n_by_n_temporary():
