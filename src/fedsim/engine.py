@@ -318,7 +318,8 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
         vals -= grads
 
     results = []
-    lr_effective = cfg.lr * cfg.decay ** (cfg.epochs - 1)
+    # The rate of the last epoch's steps, from the same schedule.
+    lr_effective = cfg.epoch_rates()[-1]
     sizes = [client.data.size for client in members]
     for c, client in enumerate(members):
         n_steps = cfg.epochs * -(-sizes[c] // cfg.batch_size)

@@ -164,13 +164,12 @@ def _reference_local_train(client, ds, g, cfg, round_idx, server_control=None):
                 grad = grad + (server_control - client_control)
             p = sgd_step(p, grad, lr)
             steps += 1
+        last_lr = lr
         lr *= cfg.decay
     new_control = None
     if scaffold:
-        lr_effective = cfg.lr * cfg.decay ** (cfg.epochs - 1)
-        new_control = client_control - server_control + (g.values - p.values) / (
-            steps * lr_effective
-        )
+        # Over the rate the last epoch's steps used.
+        new_control = client_control - server_control + (g.values - p.values) / (steps * last_lr)
     return p, steps, new_control, client_control
 
 
@@ -230,6 +229,13 @@ def test_local_train_matches_reference_loop(algorithm):
 @example(
     sizes=[23, 17, 9], hidden=[5], batch_size=4, epochs=3,
     algorithm="scaffold", one_per_group=True, seed=0,
+)
+# SCAFFOLD over three epochs in one lockstep group: the new control divides by
+# the last epoch's rate, 0.3 * 0.8 * 0.8 = 0.192, not by
+# 0.3 * 0.8 ** 2 = 0.19200000000000003.
+@example(
+    sizes=[16, 16, 9], hidden=[5], batch_size=4, epochs=3,
+    algorithm="scaffold", one_per_group=False, seed=0,
 )
 # The proximal term on runs of equal-count members.
 @example(
