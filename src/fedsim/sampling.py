@@ -225,30 +225,58 @@ def default_cluster_count(n: int) -> int:
     return max(1, int(round(math.log2(n))))
 
 
+def _kmeanspp_centers(points: np.ndarray, norms: np.ndarray, k: int, rng: np.random.Generator):
+    """k initial centres by D² sampling (k-means++, Arthur & Vassilvitskii 2007).
+
+    The first centre is a uniform pick. Each next one is drawn with
+    probability proportional to a point's squared distance to its closest
+    centre so far, so a chosen point, at distance 0, is never drawn again.
+    Only when every distance is 0 (no point left apart from the centres) is
+    the pick uniform.
+    """
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    closest = np.full(n, np.inf)
+    for _ in range(k - 1):
+        c = chosen[-1]
+        d2 = points @ points[c]
+        d2 *= -2.0
+        d2 += norms
+        d2 += norms[c]
+        np.minimum(closest, d2, out=closest)
+        np.maximum(closest, 0.0, out=closest)
+        closest[c] = 0.0
+        total = closest.sum()
+        chosen.append(int(rng.choice(n, p=closest / total) if 0 < total < np.inf else rng.integers(n)))
+    return points[chosen]
+
+
 def _lloyd_once(points: np.ndarray, norms: np.ndarray, centers: np.ndarray, max_iter: int):
     """Lloyd's algorithm from `centers`; returns labels and inertia.
 
-    `norms` is each point's squared norm as an (n, 1) column. Squared
-    distances are `norms + |center|^2 - 2 * points @ centers.T`, with the
-    (n, k) product doubled in place: scaling by 2 is exact, so the bits are
-    those of `(2.0 * points) @ centers.T` without its n x n temporary.
+    `norms` holds each point's squared norm. Squared distances are
+    `norms + |center|^2 - 2 * points @ centers.T`, with the (n, k) product
+    doubled in place: scaling by 2 is exact, so the bits are those of
+    `(2.0 * points) @ centers.T` without its n x n temporary.
     """
     n, k = points.shape[0], centers.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
         cross = points @ centers.T
         cross *= 2.0
-        d2 = norms + (centers * centers).sum(axis=1)[None, :]
+        d2 = norms[:, None] + (centers * centers).sum(axis=1)[None, :]
         d2 -= cross
         np.maximum(d2, 0.0, out=d2)
         new_labels = np.argmin(d2, axis=1)
-        own = d2[np.arange(n), new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                # Repair an empty cluster with the point farthest from its centroid.
-                far = int(np.argmax(own))
-                new_labels[far] = c
-                own[far] = -np.inf
+        counts = np.bincount(new_labels, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            # Repair an empty cluster with the point farthest from its centroid
+            # among those whose cluster keeps another member.
+            own = np.where(counts[new_labels] > 1, d2[np.arange(n), new_labels], -np.inf)
+            far = int(np.argmax(own))
+            counts[new_labels[far]] -= 1
+            counts[c] = 1
+            new_labels[far] = c
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
         centers = np.vstack([points[labels == c].mean(axis=0) for c in range(k)])
@@ -262,7 +290,12 @@ def _lloyd_once(points: np.ndarray, norms: np.ndarray, centers: np.ndarray, max_
 
 
 def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
-    """Seeded k-means over the similarity-matrix rows, best of `KMEANS_RESTARTS` restarts."""
+    """Seeded k-means over the similarity-matrix rows, best of `KMEANS_RESTARTS` restarts.
+
+    Each restart seeds its centres by D² sampling (`_kmeanspp_centers`) from
+    the one `seed` stream, then runs Lloyd's algorithm; the restart with the
+    lowest inertia wins.
+    """
     points = np.asarray(matrix, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("matrix must be 2-d")
@@ -272,10 +305,10 @@ def kmeans_cluster(matrix, k: int, seed) -> ClusterAssignment:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     rng = np.random.default_rng(seed)
-    norms = (points * points).sum(axis=1)[:, None]
+    norms = (points * points).sum(axis=1)
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        centers = points[rng.choice(n, size=k, replace=False)]
+        centers = _kmeanspp_centers(points, norms, k, rng)
         labels, inertia = _lloyd_once(points, norms, centers, KMEANS_MAX_ITER)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia

@@ -37,15 +37,20 @@ SCAFFOLD = dict(
     batch_size=8, lr=0.05, public_count=50, cluster_k=3,
 )
 
+# Re-pinned when k-means moved to D² (k-means++) seeding: on the determinism
+# and battery configs it finds the same partitions as before but numbers the
+# clusters differently. `stratified_sample` draws cluster by cluster in id
+# order, so the sampled clients, and metrics.csv, changed. The similarity
+# matrices, and everything of the scaffold config, kept their bytes.
 GOLDEN = {
     "determinism": (
         DETERMINISM,
-        "00dafae20dd5770fddb9e6c1d0b01f8ef3ff07c7350e896535a8d234454d8119",
+        "340f8096b3ac2a1bba0e73d3f5cc1a681ed90801cb127a9af85b6c2f3056c4c9",
         "7e38b820690aca7f8b5628dc19fd05142f43ad5099e8f489a1d5d085374995e1",
     ),
     "battery": (
         BATTERY,
-        "fd5613fdfde26b015ac49dc5dbb8c12a8816383d6c548fbcd33766dee4765f88",
+        "d3714e8e5f2c049295569c0dc07c22bee40333c900566265db9d0d314e397e8e",
         "1756a827a89a2c0bf4cde9a306bec1117755553980178ca672eb5dbaa8c39d29",
     ),
     "scaffold": (

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 import fedsim
 from fedsim import (
     ClusterAssignment,
+    ExperimentConfig,
     build_similarity_matrix,
     default_cluster_count,
     kl_divergence,
     kmeans_cluster,
+    run_experiment,
     stratified_sample,
     uniform_sample,
 )
@@ -28,6 +31,7 @@ from fedsim.sampling import (
     KMEANS_MAX_ITER,
     SIM_DEPTH,
     SIM_TILE,
+    _kmeanspp_centers,
     _lloyd_once,
     save_matrix_csv,
 )
@@ -356,7 +360,7 @@ def test_kmeans_deterministic_per_seed():
 
 
 def _norms(points):
-    return (points * points).sum(axis=1)[:, None]
+    return (points * points).sum(axis=1)
 
 
 def test_lloyd_inertia_non_increasing():
@@ -454,6 +458,58 @@ def test_kmeans_handles_duplicate_points():
     assign = kmeans_cluster(points, 2, seed=1)
     assert assign.labels.shape == (5,)
     assert set(assign.labels.tolist()) <= {0, 1}
+
+
+def test_kmeanspp_never_draws_a_chosen_point_again():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        # Distinct points; some pairs nearly coincide.
+        points = rng.normal(size=(n, 4))
+        points[n // 2 :] = points[: n - n // 2] + 1e-6 * rng.normal(size=(n - n // 2, 4))
+        centers = _kmeanspp_centers(points, _norms(points), n, rng)
+        assert np.unique(centers, axis=0).shape == (n, 4)
+        assign = kmeans_cluster(points, n, seed=int(rng.integers(1000)))
+        assert np.array_equal(assign.sizes(), np.ones(n))
+        assert assign.inertia == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kmeans_gives_valid_labels_on_identical_points(k):
+    # Every D² weight is 0 once the first centre is drawn.
+    for points in (np.zeros((5, 3)), np.full((5, 5), 0.7)):
+        assign = kmeans_cluster(points, k, seed=k)
+        assert assign.labels.shape == (5,)
+        assert np.all(assign.sizes() >= 1)
+        assert assign.inertia == pytest.approx(0.0, abs=1e-30)
+    # Two distinct points, repeated: from k = 2 on, each has its own clusters.
+    points = np.repeat(np.eye(2), [3, 2], axis=0)
+    assign = kmeans_cluster(points, k, seed=k)
+    assert np.all(assign.sizes() >= 1)
+    assert (assign.inertia == 0.0) == (k >= 2)
+
+
+def test_kmeans_recovers_disjoint_label_groups(tmp_path):
+    # cluster-scale's shape at 200 clients: 10 groups of 20 clients, each on a
+    # disjoint label pair, 1 epoch of batch 8 and 200 probe rows. With D²
+    # seeding 7 of these 8 seeds recover the groups exactly; with uniformly
+    # drawn initial centres, 1 of 8 did.
+    groups = [[20, [2 * g, 2 * g + 1]] for g in range(10)]
+    truth = np.repeat(np.arange(10), 20)
+    recovered = 0
+    for seed in range(1, 9):
+        cfg = ExperimentConfig(
+            name=f"recover-{seed}", output_dir=str(tmp_path), seed=seed, n_clients=200,
+            rounds=1, num_classes=20, dim=16, per_class=100, spread=1.0, test_per_class=5,
+            partition="manual", manual_groups=groups, hidden_sizes=[32], sampler="stratified",
+            sample_ratio=0.1, epochs=1, batch_size=8, lr=1.0, decay=0.99, cluster_k=10,
+            public_count=200,
+        )
+        clusters = json.loads((run_experiment(cfg) / "clusters.json").read_text())
+        labels = np.array([clusters[str(i)] for i in range(200)])
+        pairs = set(zip(truth.tolist(), labels.tolist()))
+        recovered += len(pairs) == len({c for _, c in pairs}) == 10
+    assert recovered >= 6
 
 
 def test_stratified_quota_exact_proportions():
