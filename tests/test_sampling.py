@@ -27,6 +27,7 @@ from fedsim import (
 )
 from fedsim.mlp import PROB_FLOOR
 from fedsim.sampling import (
+    CHECK_BLOCK_VALUES,
     CSV_BLOCK_VALUES,
     KMEANS_MAX_ITER,
     SIM_DEPTH,
@@ -232,13 +233,15 @@ def _spoil(row: np.ndarray, kind: str) -> None:
         row[0] += 1e-6
 
 
-# Blocks of SIM_TILE clients: the first and last client of the first block,
-# the first of the second, and the last client in a short last block.
-@pytest.mark.parametrize("client", [0, SIM_TILE - 1, SIM_TILE, 2 * SIM_TILE + 6 - 1])
+# 1024 values per client make blocks of 32 clients: the first and last client
+# of the first block, the first of the second, and the last client in a short
+# last block.
+@pytest.mark.parametrize("client", [0, 31, 32, 69])
 @pytest.mark.parametrize("kind", sorted(_MESSAGES))
 def test_similarity_names_the_first_bad_client(client, kind):
-    n = 2 * SIM_TILE + 6
-    stack = np.random.default_rng(18).dirichlet(np.ones(6), size=(n, 7))
+    n = 70
+    assert CHECK_BLOCK_VALUES // (128 * 8) == 32
+    stack = np.random.default_rng(18).dirichlet(np.ones(8), size=(n, 128))
     _spoil(stack[client, 3], kind)
     if client + 1 < n:
         _spoil(stack[n - 1, 0], "nan")  # a later bad client is not the one named
@@ -253,7 +256,8 @@ def test_similarity_checks_valid_input_without_per_client_calls(monkeypatch):
     monkeypatch.setattr(
         fedsim.sampling, "_check_distribution", lambda *a: calls.append(a) or check(*a)
     )
-    stack = np.random.default_rng(19).dirichlet(np.ones(5), size=(3 * SIM_TILE + 1, 4))
+    stack = np.random.default_rng(19).dirichlet(np.ones(5), size=(97, 1000))
+    assert stack.size > 3 * CHECK_BLOCK_VALUES
     build_similarity_matrix(stack)
     assert calls == []
 
