@@ -240,19 +240,15 @@ def _kmeanspp_centers(points: np.ndarray, norms: np.ndarray, k: int, rng: np.ran
     The first centre is a uniform pick. Each next one is drawn with
     probability proportional to a point's squared distance to its closest
     centre so far, so a chosen point, at distance 0, is never drawn again.
-    Only when every distance is 0 (no point left apart from the centres) is
-    the pick uniform.
+    Only when every distance is 0 (no point left apart from the centres), or
+    their sum overflows, is the pick uniform.
     """
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
     closest = np.full(n, np.inf)
     for _ in range(k - 1):
         c = chosen[-1]
-        d2 = points @ points[c]
-        d2 *= -2.0
-        d2 += norms
-        d2 += norms[c]
-        np.minimum(closest, d2, out=closest)
+        np.minimum(closest, norms + norms[c] - 2.0 * (points @ points[c]), out=closest)
         np.maximum(closest, 0.0, out=closest)
         closest[c] = 0.0
         total = closest.sum()
