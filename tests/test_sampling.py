@@ -462,6 +462,17 @@ def test_kmeans_handles_duplicate_points():
     assign = kmeans_cluster(points, 2, seed=1)
     assert assign.labels.shape == (5,)
     assert set(assign.labels.tolist()) <= {0, 1}
+    for k in (1, 2, 3, 5):
+        # D² weights are 0, or rounding noise, once the first centre is drawn.
+        for points in (np.zeros((5, 3)), np.full((5, 5), 0.7)):
+            assign = kmeans_cluster(points, k, seed=k)
+            assert np.all(assign.sizes() >= 1)
+            assert assign.inertia == pytest.approx(0.0, abs=1e-30)
+        # Two distinct points, repeated: from k = 2 on, each has its own
+        # clusters, and no repair may empty a cluster.
+        assign = kmeans_cluster(np.repeat(np.eye(2), [3, 2], axis=0), k, seed=k)
+        assert np.all(assign.sizes() >= 1)
+        assert (assign.inertia == 0.0) == (k >= 2)
 
 
 def test_kmeanspp_never_draws_a_chosen_point_again():
@@ -476,21 +487,6 @@ def test_kmeanspp_never_draws_a_chosen_point_again():
         assign = kmeans_cluster(points, n, seed=int(rng.integers(1000)))
         assert np.array_equal(assign.sizes(), np.ones(n))
         assert assign.inertia == 0.0
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_kmeans_gives_valid_labels_on_identical_points(k):
-    # Every D² weight is 0 once the first centre is drawn.
-    for points in (np.zeros((5, 3)), np.full((5, 5), 0.7)):
-        assign = kmeans_cluster(points, k, seed=k)
-        assert assign.labels.shape == (5,)
-        assert np.all(assign.sizes() >= 1)
-        assert assign.inertia == pytest.approx(0.0, abs=1e-30)
-    # Two distinct points, repeated: from k = 2 on, each has its own clusters.
-    points = np.repeat(np.eye(2), [3, 2], axis=0)
-    assign = kmeans_cluster(points, k, seed=k)
-    assert np.all(assign.sizes() >= 1)
-    assert (assign.inertia == 0.0) == (k >= 2)
 
 
 def test_kmeans_recovers_disjoint_label_groups(tmp_path):
