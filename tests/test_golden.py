@@ -41,7 +41,7 @@ SCAFFOLD = dict(
 # and battery configs it finds the same partitions as before but numbers the
 # clusters differently. `stratified_sample` draws cluster by cluster in id
 # order, so the sampled clients, and metrics.csv, changed. The similarity
-# matrices, and everything of the scaffold config, kept their bytes.
+# matrices and the scaffold config's metrics.csv kept their bytes.
 GOLDEN = {
     "determinism": (
         DETERMINISM,
