@@ -17,7 +17,7 @@ padded to the step's largest batch. Padded rows are scratch: no product or sum
 reads one into a real row. Each step's update is formed in place in the
 gradient stack, so a member holds its parameters, its gradient and (SCAFFOLD)
 its gradient correction. Every client's update is bit-equal to training it
-alone (`local_train`). A group holds as many clients as fit `GROUP_BYTES` of
+alone, in a group of one. A group holds as many clients as fit `GROUP_BYTES` of
 stacked parameters, so a model too large for two trains one client at a time.
 """
 
@@ -54,10 +54,6 @@ ALGORITHMS = ("fedavg", "fedprox", "scaffold", "fednova")
 GROUP_BYTES = 1 << 20
 # A summed loss below this bound leaves every group member's own loss finite.
 _LOSS_BOUND = 1e300
-
-
-class DivergenceError(RuntimeError):
-    """Local training produced non-finite values."""
 
 
 @dataclass
@@ -146,12 +142,12 @@ def local_train(
     cfg: TrainConfig,
     round_idx: int,
     server_control: np.ndarray | None = None,
-) -> LocalUpdate:
-    """`train_clients` for one client; a dropped client raises DivergenceError."""
-    (result,) = train_clients([client], dataset, global_params, cfg, round_idx, server_control)
-    if result is None:
-        raise DivergenceError(f"client {client.id} diverged in round {round_idx}")
-    return result
+) -> LocalUpdate | None:
+    """`train_clients([client], ...)[0]`, kept only as a `bench/tracer.py` target.
+
+    ROADMAP item 1 points the tracer at `train_clients` and deletes this.
+    """
+    return train_clients([client], dataset, global_params, cfg, round_idx, server_control)[0]
 
 
 def train_clients(
@@ -282,9 +278,10 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
         logp = log_softmax(acts[last])
         # Each row's one-hot target; a padded row's is label 0.
         at = (*grid, table_y[rows[t, :active, :span]])
+        target_logp = logp[at]
         # Every target log-probability is <= 0, and a padded row's is <= 0 or
         # nan, so a sum below the bound means every member's loss is finite.
-        bound = -float(logp[at].sum())
+        bound = -float(target_logp.sum())
 
         d = ds[last]
         np.exp(logp, out=d)
@@ -308,9 +305,12 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
         if not bound < _LOSS_BOUND:
             for c in range(active):
                 if not diverged[c]:
-                    diverged[c] = not math.isfinite(_member_loss(
-                        logp[c], table_y, rows[t, c], count[c], values[c], global_params.values, prox_mu
-                    ))
+                    # Member c's own loss: over its real rows, with its own proximal term.
+                    loss = -float(target_logp[c, : count[c]].mean())
+                    if prox_mu > 0:
+                        gap = values[c] - global_params.values
+                        loss += 0.5 * prox_mu * float(gap @ gap)
+                    diverged[c] = not math.isfinite(loss)
 
         if scaffold:
             grads += correction[:active]
@@ -374,15 +374,6 @@ def _schedule(members, dataset, global_params, cfg, round_idx):
         rates[: cfg.epochs * nb, c] = np.repeat(epoch_rates, nb)
         base += n
     return table_x, table_y, rows, rates
-
-
-def _member_loss(logp, labels, rows, m, values, anchor, prox_mu):
-    """One member's loss at a step, computed as a client training alone computes it."""
-    loss = -float(logp[:m][np.arange(m), labels[rows[:m]]].mean())
-    if prox_mu > 0:
-        diff = values - anchor
-        loss += 0.5 * prox_mu * float(diff @ diff)
-    return loss
 
 
 def _sorted_weights(updates: list[LocalUpdate]):

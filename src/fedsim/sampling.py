@@ -142,14 +142,7 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     of tile products. At 1000 x 200 x 20 that is about 16 MB beside the 32 MB
     input.
     """
-    if isinstance(soft_labels, np.ndarray):
-        probs = soft_labels.astype(np.float64, copy=False)
-    else:
-        mats = [np.asarray(s, dtype=np.float64) for s in soft_labels]
-        if len({m.shape for m in mats}) > 1:
-            raise ValueError("all soft-label sets must share the same (samples, classes) shape")
-        probs = np.stack(mats) if mats else np.empty((0, 0, 0))
-        del mats
+    probs = np.asarray(soft_labels, dtype=np.float64)
     if probs.ndim != 3:
         raise ValueError("all soft-label sets must share the same (samples, classes) shape")
     n, samples = probs.shape[:2]

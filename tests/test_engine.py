@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import fedsim.engine as engine_mod
 from fedsim import (
     ClientState,
-    DivergenceError,
     LocalUpdate,
     ModelParams,
     ModelSpec,
@@ -21,7 +20,6 @@ from fedsim import (
     aggregate_scaffold,
     evaluate_global,
     init_params,
-    local_train,
     loss_and_grad,
     make_clients,
     partition_dirichlet,
@@ -49,6 +47,13 @@ def _update(cid, values, n, steps, spec=SPEC, delta=None):
     return LocalUpdate(cid, ModelParams(values, spec), n, steps, delta)
 
 
+def _assert_dropped(caplog, *client_ids, round_idx=1):
+    """Assert that `caplog` holds exactly one drop warning per client id, in order."""
+    assert [r.getMessage() for r in caplog.records] == [
+        f"dropping update: client {cid} diverged in round {round_idx}" for cid in client_ids
+    ]
+
+
 def test_local_train_requires_at_least_one_epoch():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
@@ -57,7 +62,7 @@ def test_local_train_requires_at_least_one_epoch():
 def test_local_train_step_count_matches_epochs_and_batches():
     ds, clients, g = _setup()
     cfg = TrainConfig(epochs=3, batch_size=4, lr=0.05, master_seed=5)
-    up = local_train(clients[0], ds, g, cfg, round_idx=1)
+    up = train_clients([clients[0]], ds, g, cfg, round_idx=1)[0]
     expected = 3 * -(-len(clients[0].data) // 4)  # epochs * ceil(n/batch)
     assert up.local_steps == expected
     assert up.num_samples == len(clients[0].data)
@@ -66,23 +71,23 @@ def test_local_train_step_count_matches_epochs_and_batches():
 def test_local_train_deterministic_per_seed_round_client():
     ds, clients, g = _setup()
     cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05, master_seed=9)
-    a = local_train(clients[1], ds, g, cfg, round_idx=3)
-    b = local_train(clients[1], ds, g, cfg, round_idx=3)
+    a = train_clients([clients[1]], ds, g, cfg, round_idx=3)[0]
+    b = train_clients([clients[1]], ds, g, cfg, round_idx=3)[0]
     assert np.array_equal(a.new_params.values, b.new_params.values)
-    c = local_train(clients[1], ds, g, cfg, round_idx=4)
+    c = train_clients([clients[1]], ds, g, cfg, round_idx=4)[0]
     assert not np.array_equal(a.new_params.values, c.new_params.values)
 
 
 def test_local_train_ignores_other_clients_data():
     ds, clients, g = _setup()
     cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05, master_seed=7)
-    before = local_train(clients[0], ds, g, cfg, round_idx=1)
+    before = train_clients([clients[0]], ds, g, cfg, round_idx=1)[0]
     # Corrupt every sample the other clients own; client 0's result must not move.
     corrupted = ds.features.copy()
     others = np.concatenate([c.data for c in clients[1:]])
     corrupted[others] += 1e6
     ds2 = type(ds)(corrupted, ds.labels, ds.num_classes)
-    after = local_train(clients[0], ds2, g, cfg, round_idx=1)
+    after = train_clients([clients[0]], ds2, g, cfg, round_idx=1)[0]
     assert np.array_equal(before.new_params.values, after.new_params.values)
 
 
@@ -92,8 +97,8 @@ def test_fedprox_mu_zero_identical_to_fedavg_trajectory():
     prox_cfg = TrainConfig(
         algorithm="fedprox", prox_mu=0.0, epochs=3, batch_size=4, lr=0.05, master_seed=3
     )
-    a = local_train(clients[2], ds, g, avg_cfg, round_idx=2)
-    b = local_train(clients[2], ds, g, prox_cfg, round_idx=2)
+    a = train_clients([clients[2]], ds, g, avg_cfg, round_idx=2)[0]
+    b = train_clients([clients[2]], ds, g, prox_cfg, round_idx=2)[0]
     assert np.array_equal(a.new_params.values, b.new_params.values)
 
 
@@ -103,8 +108,8 @@ def test_fedprox_positive_mu_changes_trajectory():
     prox_cfg = TrainConfig(
         algorithm="fedprox", prox_mu=5.0, epochs=3, batch_size=4, lr=0.05, master_seed=3
     )
-    a = local_train(clients[2], ds, g, avg_cfg, round_idx=2)
-    b = local_train(clients[2], ds, g, prox_cfg, round_idx=2)
+    a = train_clients([clients[2]], ds, g, avg_cfg, round_idx=2)[0]
+    b = train_clients([clients[2]], ds, g, prox_cfg, round_idx=2)[0]
     assert not np.array_equal(a.new_params.values, b.new_params.values)
 
 
@@ -113,8 +118,8 @@ def test_scaffold_zero_variates_identical_to_fedavg():
     avg_cfg = TrainConfig(algorithm="fedavg", epochs=2, batch_size=4, lr=0.05, master_seed=11)
     sca_cfg = TrainConfig(algorithm="scaffold", epochs=2, batch_size=4, lr=0.05, master_seed=11)
     zero = np.zeros(SPEC.num_params)
-    a = local_train(clients[0], ds, g, avg_cfg, round_idx=1)
-    b = local_train(clients[0], ds, g, sca_cfg, round_idx=1, server_control=zero)
+    a = train_clients([clients[0]], ds, g, avg_cfg, round_idx=1)[0]
+    b = train_clients([clients[0]], ds, g, sca_cfg, round_idx=1, server_control=zero)[0]
     assert np.array_equal(a.new_params.values, b.new_params.values)
     assert b.delta_control is not None
 
@@ -123,7 +128,7 @@ def test_scaffold_requires_server_control():
     ds, clients, g = _setup()
     cfg = TrainConfig(algorithm="scaffold", epochs=1, batch_size=4, lr=0.05)
     with pytest.raises(ValueError):
-        local_train(clients[0], ds, g, cfg, round_idx=1)
+        train_clients([clients[0]], ds, g, cfg, round_idx=1)
 
 
 def test_scaffold_control_update_rule():
@@ -131,7 +136,7 @@ def test_scaffold_control_update_rule():
     cfg = TrainConfig(algorithm="scaffold", epochs=2, batch_size=4, lr=0.05, master_seed=2)
     c_server = np.full(SPEC.num_params, 0.01)
     clients[0].control = np.full(SPEC.num_params, -0.02)
-    up = local_train(clients[0], ds, g, cfg, round_idx=1, server_control=c_server)
+    up = train_clients([clients[0]], ds, g, cfg, round_idx=1, server_control=c_server)[0]
     lr_eff = 0.05 * 0.99 ** (2 - 1)
     expected_new = (
         clients[0].control
@@ -142,8 +147,8 @@ def test_scaffold_control_update_rule():
     np.testing.assert_allclose(up.delta_control, expected_new - clients[0].control, atol=1e-12)
 
 
-def _reference_local_train(client, ds, g, cfg, round_idx, server_control=None):
-    """local_train written as a plain loop over the public loss_and_grad and sgd_step."""
+def _reference_train(client, ds, g, cfg, round_idx, server_control=None):
+    """One client's training written as a plain loop over the public loss_and_grad and sgd_step."""
     scaffold = cfg.algorithm == "scaffold"
     prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
     anchor = g if prox_mu > 0 else None
@@ -190,8 +195,8 @@ def test_local_train_matches_reference_loop(algorithm):
         clients[1].control = rng.normal(scale=0.01, size=spec.num_params)
     assert any(len(c.data) % cfg.batch_size for c in clients)  # a short last batch
     for client in clients:
-        up = local_train(client, ds, g, cfg, 2, server_control)
-        params, steps, new_control, old_control = _reference_local_train(
+        up = train_clients([client], ds, g, cfg, 2, server_control)[0]
+        params, steps, new_control, old_control = _reference_train(
             client, ds, g, cfg, 2, server_control
         )
         assert np.array_equal(up.new_params.values, params.values)
@@ -267,7 +272,7 @@ def test_train_clients_matches_reference_loop(
         mp.setattr(engine_mod, "GROUP_BYTES", group_bytes)
         updates = train_clients(clients, ds, g, cfg, 4, server_control)
     for client, up in zip(clients, updates):
-        params, steps, new_control, old_control = _reference_local_train(
+        params, steps, new_control, old_control = _reference_train(
             client, ds, g, cfg, 4, server_control
         )
         assert up.client_id == client.id
@@ -371,11 +376,9 @@ def test_train_clients_drops_only_the_diverging_client(caplog):
     with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
         updates = train_clients(clients, ds_bad, g, cfg, 2)
     assert updates[2] is None
-    assert [r.getMessage() for r in caplog.records] == [
-        f"dropping update: client {clients[2].id} diverged in round 2"
-    ]
+    _assert_dropped(caplog, clients[2].id, round_idx=2)
     for i in (0, 1, 3):
-        alone = local_train(clients[i], ds_bad, g, cfg, 2)
+        alone = train_clients([clients[i]], ds_bad, g, cfg, 2)[0]
         assert np.array_equal(updates[i].new_params.values, alone.new_params.values)
         assert updates[i].local_steps == alone.local_steps
 
@@ -388,9 +391,7 @@ def test_train_clients_drops_overflowing_client_without_numpy_warnings(caplog):
     with caplog.at_level(logging.WARNING):
         updates = train_clients(clients[:1], ds, g, cfg, 1)
     assert updates == [None]
-    assert [r.getMessage() for r in caplog.records] == [
-        f"dropping update: client {clients[0].id} diverged in round 1"
-    ]
+    _assert_dropped(caplog, clients[0].id)
 
 
 @settings(max_examples=25, deadline=None)
@@ -420,15 +421,16 @@ def test_fedprox_mu_zero_is_fedavg_through_train_clients(sizes, hidden, batch_si
         assert avg.local_steps == prox.local_steps
 
 
-def test_local_train_huge_features_diverge():
+def test_local_train_huge_features_diverge(caplog):
     ds, clients, g = _setup()
     bad = type(ds)(ds.features * 1e160, ds.labels, ds.num_classes)
     cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-        local_train(clients[0], bad, g, cfg, round_idx=1)
+    with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
+        assert train_clients([clients[0]], bad, g, cfg, round_idx=1) == [None]
+    _assert_dropped(caplog, clients[0].id)
 
 
-def test_local_train_prox_term_overflow_diverges():
+def test_local_train_prox_term_overflow_diverges(caplog):
     # One full batch per epoch. After the first step the cross-entropy and the
     # whole gradient stay finite, but the proximal term of the loss overflows.
     ds = synth_blobs(3, 4, 8, 1.0, seed=0)
@@ -441,14 +443,29 @@ def test_local_train_prox_term_overflow_diverges():
         loss, grad = loss_and_grad(p1, x, y, mu, g)
         assert not math.isfinite(loss)
         assert np.all(np.isfinite(grad)) and math.isfinite(loss_and_grad(p1, x, y)[0])
-        cfg = TrainConfig(
-            algorithm="fedprox", prox_mu=mu, epochs=2, batch_size=6, lr=lr, decay=1.0
-        )
-        with pytest.raises(DivergenceError):
-            local_train(client, ds, g, cfg, round_idx=1)
+    cfg = TrainConfig(
+        algorithm="fedprox", prox_mu=mu, epochs=2, batch_size=6, lr=lr, decay=1.0
+    )
+    with caplog.at_level(logging.WARNING):
+        assert train_clients([client], ds, g, cfg, round_idx=1) == [None]
+    _assert_dropped(caplog, client.id)
+    # The same client in one lockstep group (one run of equal row counts)
+    # beside two healthy clients, whose own proximal terms stay just finite:
+    # the group's summed loss overflows, and each member's loss is then read
+    # with its own proximal term.
+    healthy = [ClientState(1, np.arange(6, 12)), ClientState(2, np.arange(12, 18))]
+    alone = [train_clients([c], ds, g, cfg, round_idx=1)[0] for c in healthy]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        updates = train_clients([healthy[0], client, healthy[1]], ds, g, cfg, round_idx=1)
+    _assert_dropped(caplog, client.id)
+    assert updates[1] is None
+    for up, ref in zip(updates[::2], alone):
+        assert up.new_params.values.tobytes() == ref.new_params.values.tobytes()
+        assert up.local_steps == ref.local_steps
 
 
-def test_local_train_step_overflow_diverges():
+def test_local_train_step_overflow_diverges(caplog):
     # A finite loss and gradient whose step overflows the parameters.
     ds, clients, g = _setup()
     big = type(ds)(ds.features * 100.0, ds.labels, ds.num_classes)
@@ -456,8 +473,9 @@ def test_local_train_step_overflow_diverges():
     loss, grad = loss_and_grad(g, big.features[sel], big.labels[sel])
     assert math.isfinite(loss) and np.all(np.isfinite(grad))
     cfg = TrainConfig(epochs=1, batch_size=len(sel), lr=1e307)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-        local_train(clients[0], big, g, cfg, round_idx=1)
+    with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
+        assert train_clients([clients[0]], big, g, cfg, round_idx=1) == [None]
+    _assert_dropped(caplog, clients[0].id)
 
 
 def test_local_train_learning_rate_decayed_to_zero_is_a_value_error():
@@ -465,7 +483,7 @@ def test_local_train_learning_rate_decayed_to_zero_is_a_value_error():
     # the config is rejected before any client trains.
     with pytest.raises(ValueError, match="decay: the learning rate") as info:
         TrainConfig(epochs=3, batch_size=4, lr=0.01, decay=1e-300)
-    assert not isinstance(info.value, DivergenceError)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -476,9 +494,9 @@ def test_local_train_rejects_non_finite_client_rows(value):
     bad = type(ds)(features, ds.labels, ds.num_classes)
     cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05)
     with pytest.raises(ValueError, match="non-finite"):
-        local_train(clients[0], bad, g, cfg, round_idx=1)
+        train_clients([clients[0]], bad, g, cfg, round_idx=1)
     # Other clients' rows are not this client's concern.
-    local_train(clients[1], bad, g, cfg, round_idx=1)
+    assert train_clients([clients[1]], bad, g, cfg, round_idx=1)[0] is not None
 
 
 def test_aggregate_fedavg_singleton_and_hand_value():
@@ -717,7 +735,7 @@ def test_run_round_drops_divergent_client(caplog):
     cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05, master_seed=1)
     plan = SamplingPlan(1, np.arange(3))
     healthy = [
-        local_train(clients[i], ds_bad, g, cfg, round_idx=1) for i in (1, 2)
+        train_clients([clients[i]], ds_bad, g, cfg, round_idx=1)[0] for i in (1, 2)
     ]
     with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
         server2, _ = run_round(ServerState(g), clients, ds_bad, plan, cfg)

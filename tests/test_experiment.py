@@ -21,7 +21,6 @@ from fedsim import (
     aggregate_fedavg,
     compare_runs,
     init_params,
-    local_train,
     make_clients,
     partition_dirichlet,
     partition_manual,
@@ -30,6 +29,7 @@ from fedsim import (
     run_round,
     synth_blobs,
     synth_public,
+    train_clients,
 )
 from fedsim.cli import main as cli_main
 from fedsim.metrics import read_metrics_csv
@@ -443,7 +443,7 @@ def test_preprocess_clusters_diverged_clients_and_round_1_drops_them(caplog):
     assert pre.assignment.num_clients == 6
     healthy = [pre.updates[i] for i in (0, 2, 3, 5)]
     for u in healthy:
-        alone = local_train(clients[u.client_id], ds_bad, server.global_params, cfg, 1)
+        alone = train_clients([clients[u.client_id]], ds_bad, server.global_params, cfg, 1)[0]
         assert np.array_equal(u.new_params.values, alone.new_params.values)
     plan = SamplingPlan(1, np.arange(6))
     server1, _ = run_round(server, clients, ds_bad, plan, cfg, updates=pre.updates)

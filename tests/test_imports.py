@@ -2,12 +2,15 @@
 every private helper of the package.
 
 A name counts as used when the module reads it anywhere or lists it in
-`__all__`. `from __future__` imports and lines marked `# noqa` are exempt.
-A module-level `_`-prefixed function, class or constant counts as used when
-package code outside its own definition reads or imports it.
+`__all__`. `from __future__` imports and lines marked `# noqa` are exempt; in
+the package, a `# noqa` import is allowed only as a `bench/tracer.py` target,
+and every tracer target resolves to a callable. A module-level `_`-prefixed
+function, class or constant counts as used when package code outside its own
+definition reads or imports it.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +48,43 @@ def test_every_import_is_used():
     assert len(files) > 10
     unused = [u for f in files if f.name not in EXEMPT for u in _unused_imports(f)]
     assert unused == []
+
+
+def _load_tracer():
+    """`bench/tracer.py`, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+def test_noqa_imports_in_the_package_are_trace_targets():
+    # The tracer wraps a function at the module attribute its caller looks up,
+    # so a package module may import a name only the tracer reads.
+    targets = {(module, attr) for module, attr, _ in TRACER.TARGETS}
+    stray = []
+    for path in sorted(ROOT.glob("src/fedsim/*.py")):
+        module, source = f"fedsim.{path.stem}", path.read_text()
+        lines = source.splitlines()
+        nodes = ast.walk(ast.parse(source))
+        imports = (n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)))
+        for alias in (a for node in imports for a in node.names):
+            name = alias.asname or alias.name
+            if "# noqa" in lines[alias.lineno - 1] and (module, name) not in targets:
+                stray.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
+    assert stray == []
+
+
+def test_every_trace_target_resolves_to_a_callable():
+    missing = []
+    for module, attr, _ in TRACER.TARGETS:
+        owner, name = TRACER._resolve(module, attr)
+        if not callable(getattr(owner, name, None)):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 def _private_names(tree: ast.Module) -> dict[str, ast.stmt]:
