@@ -86,12 +86,27 @@ class ServerState:
 
 @dataclass
 class LocalUpdate:
+    """One client's upload after local training.
+
+    With SCAFFOLD, `new_control` is the client's new control variate c_i+ and
+    `control` is the c_i it trained with: a reference to the client's own
+    array, not a copy (`None` means c_i = 0). The client keeps c_i until the
+    round is aggregated, so the upload's delta c_i+ - c_i is not stored.
+    """
+
     client_id: int
     new_params: ModelParams
     num_samples: int
     local_steps: int
-    delta_control: np.ndarray | None = None
     new_control: np.ndarray | None = None
+    control: np.ndarray | None = None
+
+    @property
+    def delta_control(self) -> np.ndarray | None:
+        """c_i+ - c_i, as a new array on each read; `None` without a new control."""
+        if self.new_control is None:
+            return None
+        return self.new_control - (0.0 if self.control is None else self.control)
 
 
 @dataclass(frozen=True)
@@ -163,8 +178,10 @@ def train_clients(
     Each client's run is seeded per (seed, round, client) and does not depend
     on which other clients train with it. The learning rate is multiplied by
     `decay` after each local epoch. SCAFFOLD corrects every gradient by
-    (c - c_i) and reports the control-variate delta derived from the parameter
-    displacement over the effective last-epoch rate.
+    (c - c_i) and reports the new control variate c_i+, derived from the
+    parameter displacement over the last epoch's rate. Each SCAFFOLD update
+    holds c_i+ and a reference to the client's c_i, not their delta: its
+    `delta_control` is computed on each read.
 
     Inputs are validated once per group: the feature width, finite client rows
     and labels within the model's classes. Every epoch visits every row, so
@@ -205,10 +222,12 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     step's largest batch. Padded rows are scratch: they hold whatever earlier
     steps left there, and only row-wise operations touch them. A step's
     update, (grad + correction) * lr, is formed in the gradient stack, which
-    the next step rewrites whole before reading it. Each client's result is
-    bit-equal to training it alone: no operation mixes two members' values, so
-    a diverged member keeps stepping beside the others and is dropped at the
-    end, with `None` in its place.
+    the next step rewrites whole before reading it, so a member holds its
+    parameters, its gradient and (SCAFFOLD) its correction while it trains,
+    and its result holds its parameters and (SCAFFOLD) its new control. Each
+    client's result is bit-equal to training it alone: no operation mixes two
+    members' values, so a diverged member keeps stepping beside the others and
+    is dropped at the end, with `None` in its place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -232,14 +251,13 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     a_bufs = [np.empty((g, width, fo)) for _, fo in shapes]  # after bias (and ReLU)
     d_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]  # backprop deltas
     denom = np.empty((g, 1, 1))  # each member's row count
-    controls = [None] * g
     if scaffold:
         correction = np.empty_like(values)
         for c, client in enumerate(members):
             # A client without a control variate has c_i = 0; the scalar 0.0
-            # gives the same bits as a zero vector in every use below.
-            controls[c] = 0.0 if client.control is None else client.control
-            np.subtract(server_control, controls[c], out=correction[c])
+            # gives the same bits as a zero vector, here and in `delta_control`.
+            control = 0.0 if client.control is None else client.control
+            np.subtract(server_control, control, out=correction[c])
     if prox_mu > 0:
         diff = np.empty_like(values)
 
@@ -324,7 +342,7 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     for c, client in enumerate(members):
         n_steps = cfg.epochs * -(-sizes[c] // cfg.batch_size)
         finite = not diverged[c] and np.isfinite(values[c]).all()
-        new_control = delta_control = None
+        new_control = None
         if finite and scaffold:
             # (g - w) / (steps * lr) - (c - c_i): the bits of c_i - c + (g - w)
             # / (steps * lr) unless the quotient holds a -0.0 where c == c_i.
@@ -332,13 +350,13 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
             new_control /= n_steps * lr_effective
             new_control -= correction[c]
             finite = np.isfinite(new_control).all()
-            delta_control = new_control - controls[c]
         if not finite:
             logger.warning("dropping update: client %d diverged in round %d", client.id, round_idx)
             results.append(None)
             continue
         results.append(LocalUpdate(
-            client.id, ModelParams(values[c], spec), sizes[c], n_steps, delta_control, new_control
+            client.id, ModelParams(values[c], spec), sizes[c], n_steps,
+            new_control, client.control if scaffold else None,
         ))
     return results
 
@@ -401,18 +419,19 @@ def aggregate_scaffold(
 
     The mean delta is a running sum in client-id order divided by the count:
     the same additions, in the same order, as `np.mean` over the stacked
-    deltas, without the stack.
+    deltas, without the stack. Each update's `delta_control` is read once,
+    and the first read, a new array, is the running sum's buffer.
     """
     ups = sorted(updates, key=lambda u: u.client_id)
-    if any(u.delta_control is None for u in ups):
-        raise ValueError("scaffold aggregation needs delta_control on every update")
+    if any(u.new_control is None for u in ups):
+        raise ValueError("scaffold aggregation needs new_control on every update")
     params = aggregate_fedavg(ups)
     control = (
         np.zeros_like(server.global_params.values)
         if server.server_control is None
         else server.server_control
     )
-    mean_delta = ups[0].delta_control.astype(np.float64)
+    mean_delta = ups[0].delta_control
     for u in ups[1:]:
         mean_delta += u.delta_control
     mean_delta /= len(ups)

@@ -43,8 +43,9 @@ def _setup(seed=0, n_clients=4, per_class=8):
     return ds, clients, global_params
 
 
-def _update(cid, values, n, steps, spec=SPEC, delta=None):
-    return LocalUpdate(cid, ModelParams(values, spec), n, steps, delta)
+def _update(cid, values, n, steps, spec=SPEC, new_control=None):
+    # The client trained with c_i = 0, so `delta_control` has the bits of `new_control`.
+    return LocalUpdate(cid, ModelParams(values, spec), n, steps, new_control)
 
 
 def _assert_dropped(caplog, *client_ids, round_idx=1):
@@ -145,6 +146,29 @@ def test_scaffold_control_update_rule():
     )
     np.testing.assert_allclose(up.new_control, expected_new, atol=1e-12)
     np.testing.assert_allclose(up.delta_control, expected_new - clients[0].control, atol=1e-12)
+
+
+def test_delta_control_is_a_new_array_on_every_read():
+    # `aggregate_scaffold` adds in place into the first delta it reads, so no
+    # read may alias the update's new control or the client's own control.
+    ds, clients, g = _setup()
+    cfg = TrainConfig(algorithm="scaffold", epochs=2, batch_size=4, lr=0.05, master_seed=2)
+    rng = np.random.default_rng(3)
+    server_control = rng.normal(scale=0.01, size=SPEC.num_params)
+    clients[0].control = rng.normal(scale=0.01, size=SPEC.num_params)
+    updates = train_clients(clients[:2], ds, g, cfg, 1, server_control)
+    for client, up in zip(clients, updates):
+        assert up.control is client.control  # a reference, None for c_i = 0
+        control = np.zeros(SPEC.num_params) if client.control is None else client.control.copy()
+        new_control = up.new_control.copy()
+        first, second = up.delta_control, up.delta_control
+        assert first is not second and first is not up.new_control
+        assert first.tobytes() == second.tobytes() == (new_control - control).tobytes()
+        first += 1.0
+        assert up.new_control.tobytes() == new_control.tobytes()
+        if client.control is not None:
+            assert client.control.tobytes() == control.tobytes()
+        assert up.delta_control.tobytes() == second.tobytes()
 
 
 def _reference_train(client, ds, g, cfg, round_idx, server_control=None):
@@ -288,11 +312,12 @@ def test_train_clients_matches_reference_loop(
             assert up.delta_control.tobytes() == delta_control.tobytes()
 
 
-@pytest.mark.parametrize("algorithm, bound", [("fedavg", 4.8), ("scaffold", 11.8)])
+@pytest.mark.parametrize("algorithm, bound", [("fedavg", 4.8), ("scaffold", 8.8)])
 def test_train_clients_peak_memory_in_parameter_vectors(algorithm, bound):
     # Three one-client groups of a 67,843-parameter model. A member's step
     # holds its parameters, its gradient and (SCAFFOLD) its correction, and
-    # each result keeps its parameters (and two control vectors).
+    # each result keeps its parameters (and its new control: the delta is not
+    # stored, and the client's old control was allocated before the trace).
     spec = ModelSpec((4, 256, 256, 3))
     assert engine_mod.GROUP_BYTES // (8 * spec.num_params) == 1
     ds = synth_blobs(3, 4, 20, 1.0, seed=0)
@@ -545,7 +570,7 @@ def test_aggregators_ignore_update_order(sizes, seed, data):
     ids = rng.choice(50, size=len(sizes), replace=False)
     ups = [
         _update(int(cid), rng.normal(size=n), sz, int(rng.integers(1, 20)), spec,
-                delta=rng.normal(size=n))
+                new_control=rng.normal(size=n))
         for cid, sz in zip(ids, sizes)
     ]
     shuffled = data.draw(st.permutations(ups))
@@ -572,7 +597,7 @@ def test_aggregate_scaffold_matches_stacked_mean(count, widths, seed):
     ids = rng.choice(10 * count, size=count, replace=False)
     ups = [
         _update(int(cid), rng.normal(size=n), int(rng.integers(1, 50)), 2, spec,
-                delta=rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n))
+                new_control=rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n))
         for cid in ids
     ]
     server = ServerState(init_params(spec, seed), rng.normal(size=n))
@@ -604,7 +629,7 @@ def test_aggregate_scaffold_zero_deltas_keep_control():
     n = spec.num_params
     g = init_params(spec, 0)
     server = ServerState(g, np.full(n, 0.5))
-    ups = [_update(i, np.zeros(n), 2, 2, spec, delta=np.zeros(n)) for i in range(3)]
+    ups = [_update(i, np.zeros(n), 2, 2, spec, new_control=np.zeros(n)) for i in range(3)]
     _, c = aggregate_scaffold(server, ups, total_clients=10)
     assert np.array_equal(c, np.full(n, 0.5))
 
@@ -614,7 +639,7 @@ def test_aggregate_scaffold_full_participation_adds_delta():
     n = spec.num_params
     server = ServerState(init_params(spec, 0), np.zeros(n))
     v = np.full(n, 0.3)
-    ups = [_update(i, np.zeros(n), 2, 2, spec, delta=v.copy()) for i in range(4)]
+    ups = [_update(i, np.zeros(n), 2, 2, spec, new_control=v.copy()) for i in range(4)]
     _, c = aggregate_scaffold(server, ups, total_clients=4)
     np.testing.assert_allclose(c, v, atol=1e-15)
 
