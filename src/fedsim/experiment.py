@@ -279,7 +279,7 @@ class ExperimentConfig:
 class PreprocessResult:
     matrix: np.ndarray
     assignment: ClusterAssignment
-    updates: list[LocalUpdate | None]
+    updates: list[LocalUpdate | None] | None  # None once round 1 has used them
 
 
 def preprocess(
@@ -413,8 +413,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 plan = SamplingPlan(1, np.arange(cfg.n_clients))
             else:
                 plan = stratified_sample(pre.assignment, cfg.budget, r, cfg.seed)
-            # Round 1 aggregates the pre-pass's local training (same seeds) instead of retraining.
-            updates = pre.updates if pre is not None and r == 1 else None
+            # Round 1 aggregates the pre-pass's local training (same seeds)
+            # instead of retraining. Nothing reads those updates afterwards, so
+            # `pre` lets go of them, and `updates` does before round 2 trains.
+            updates = None
+            if pre is not None and r == 1:
+                updates, pre.updates = pre.updates, None
             server, rm = run_round(server, clients, train, plan, tc, ledger=ledger, updates=updates)
             if scoring is not None:
                 _collect_score(history[-1], scoring)

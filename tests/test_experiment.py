@@ -1,15 +1,18 @@
+import gc
 import json
 import logging
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedsim
+import fedsim.experiment as experiment_mod
 import fedsim.metrics as metrics_mod
 from fedsim import (
     ConfigError,
@@ -188,6 +191,28 @@ def test_round1_participation_modes_differ_in_traffic(tmp_path):
     bytes_all = json.loads((all_mode / "summary.json").read_text())["recurring_bytes"]
     bytes_sampled = json.loads((sampled_mode / "summary.json").read_text())["recurring_bytes"]
     assert bytes_all > bytes_sampled
+
+
+def test_pre_pass_updates_are_released_after_round_1(tmp_path, monkeypatch):
+    # Round 1 aggregates the pre-pass updates and nothing reads them again: an
+    # update that round 1's plan did not select is garbage before round 2.
+    run_round = experiment_mod.run_round
+    refs, alive = [], []
+
+    def watch(server, clients, dataset, plan, cfg, **kw):
+        if kw["updates"] is not None:
+            unselected = sorted(set(range(len(clients))) - set(plan.selected.tolist()))
+            refs.extend(weakref.ref(kw["updates"][c].new_params.values) for c in unselected)
+        else:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+        return run_round(server, clients, dataset, plan, cfg, **kw)
+
+    monkeypatch.setattr(experiment_mod, "run_round", watch)
+    run_experiment(
+        _tiny_config(tmp_path, sampler="stratified", round1_participation="sampled", rounds=3)
+    )
+    assert len(refs) == 2 and alive == [0, 0]
 
 
 def test_compare_runs_deltas_and_unreached(tmp_path):
