@@ -355,8 +355,7 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
             results.append(None)
             continue
         results.append(LocalUpdate(
-            client.id, ModelParams(values[c], spec), sizes[c], n_steps,
-            new_control, client.control if scaffold else None,
+            client.id, ModelParams(values[c], spec), sizes[c], n_steps, new_control, client.control
         ))
     return results
 
