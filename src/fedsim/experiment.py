@@ -277,9 +277,12 @@ class ExperimentConfig:
 
 @dataclass
 class PreprocessResult:
+    """What the clustering pass returns: the n x n similarity matrix, the
+    clusters found in it, and every client's round-1 update (`None` if dropped)."""
+
     matrix: np.ndarray
     assignment: ClusterAssignment
-    updates: list[LocalUpdate | None] | None  # None once round 1 has used them
+    updates: list[LocalUpdate | None]
 
 
 def preprocess(
@@ -379,7 +382,13 @@ def _collect_score(rm: RoundMetrics, scoring: Future) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
-    """Run the configured experiment and return its artifact directory."""
+    """Run the configured experiment and return its artifact directory.
+
+    A stratified run writes `clusters.json` and `similarity_matrix.csv` as
+    soon as the clustering pass ends, then keeps only the cluster assignment,
+    and the pass's updates until round 1 has aggregated them. `metrics.csv`
+    and `summary.json` are written after the last round.
+    """
     cfg.validate()
     # Everything a config can fail on is built before the run directory exists.
     train, test = _build_data(cfg)
@@ -398,28 +407,30 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     ledger = CostLedger()
     history = []
-    pre = None
+    assignment = updates = None
     if cfg.sampler == "stratified":
         pre = preprocess(clients, train, public, server, tc, cluster_k=cfg.cluster_k, ledger=ledger)
+        pre.assignment.save_json(out / "clusters.json")
+        save_matrix_csv(pre.matrix, out / "similarity_matrix.csv")
+        # The rounds read only the assignment; the matrix is freed with `pre`.
+        assignment, updates = pre.assignment, pre.updates
+        del pre
     # Round r is scored on the worker thread while round r + 1 trains; its
     # score is collected before round r + 1's is submitted. The worker runs in
     # a copy of the caller's context, so the caller's np.errstate holds there.
     with ThreadPoolExecutor(max_workers=1) as scorer:
         scoring = None
         for r in range(1, cfg.rounds + 1):
-            if pre is None or (r == 1 and cfg.round1_participation == "sampled"):
+            if assignment is None or (r == 1 and cfg.round1_participation == "sampled"):
                 plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
             elif r == 1:
                 plan = SamplingPlan(1, np.arange(cfg.n_clients))
             else:
-                plan = stratified_sample(pre.assignment, cfg.budget, r, cfg.seed)
+                plan = stratified_sample(assignment, cfg.budget, r, cfg.seed)
             # Round 1 aggregates the pre-pass's local training (same seeds)
-            # instead of retraining. Nothing reads those updates afterwards, so
-            # `pre` lets go of them, and `updates` does before round 2 trains.
-            updates = None
-            if pre is not None and r == 1:
-                updates, pre.updates = pre.updates, None
+            # instead of retraining; nothing reads those updates afterwards.
             server, rm = run_round(server, clients, train, plan, tc, ledger=ledger, updates=updates)
+            updates = None
             if scoring is not None:
                 _collect_score(history[-1], scoring)
             history.append(rm)
@@ -429,9 +440,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         _collect_score(history[-1], scoring)
 
     write_metrics_csv(history, out / "metrics.csv")
-    if pre is not None:
-        pre.assignment.save_json(out / "clusters.json")
-        save_matrix_csv(pre.matrix, out / "similarity_matrix.csv")
 
     entropies = [m.sample_relative_entropy for m in history]
     summary = {
@@ -451,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "recurring_bytes": ledger.recurring_total,
         "mean_entropy": float(np.mean(entropies)),
         "mean_entropy_after_round1": float(np.mean(entropies[1:])) if len(entropies) > 1 else None,
-        "cluster_count": pre.assignment.k if pre is not None else None,
+        "cluster_count": assignment.k if assignment is not None else None,
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return out

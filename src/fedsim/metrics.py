@@ -32,12 +32,13 @@ class RoundMetrics:
 
 @dataclass
 class CostRecord:
+    """One entry of parameter traffic: a round's, or the clustering pass's one-time bytes."""
+
     round: int
     per_client_down_bytes: int
     per_client_up_bytes: int
     num_clients: int
     one_time_bytes: int
-    cumulative_bytes: int
 
     @property
     def total_bytes(self) -> int:
@@ -45,12 +46,7 @@ class CostRecord:
         return self.num_clients * per_client + self.one_time_bytes
 
 
-def comm_cost_step(
-    plan: SamplingPlan,
-    model_bytes: int,
-    algorithm: str,
-    prior_cumulative: int = 0,
-) -> CostRecord:
+def comm_cost_step(plan: SamplingPlan, model_bytes: int, algorithm: str) -> CostRecord:
     """Parameter traffic for one round: download + upload per sampled client.
 
     SCAFFOLD moves a control vector the size of the model in both directions,
@@ -60,69 +56,57 @@ def comm_cost_step(
         raise ValueError("model_bytes must be > 0")
     factor = 2 if algorithm == "scaffold" else 1
     per_client = factor * int(model_bytes)
-    n = plan.budget
     return CostRecord(
         round=plan.round,
         per_client_down_bytes=per_client,
         per_client_up_bytes=per_client,
-        num_clients=n,
+        num_clients=plan.budget,
         one_time_bytes=0,
-        cumulative_bytes=prior_cumulative + n * 2 * per_client,
     )
 
 
 def one_time_cost(
-    num_clients: int,
-    public_count: int,
-    public_dim: int,
-    num_classes: int,
-    prior_cumulative: int = 0,
+    num_clients: int, public_count: int, public_dim: int, num_classes: int
 ) -> CostRecord:
     """Probe-set download plus soft-label upload, paid once by every client."""
     public_bytes = public_count * public_dim * BYTES_PER_FEATURE
     soft_bytes = public_count * num_classes * BYTES_PER_FEATURE
-    total = num_clients * (public_bytes + soft_bytes)
     return CostRecord(
         round=1,
         per_client_down_bytes=0,
         per_client_up_bytes=0,
         num_clients=num_clients,
-        one_time_bytes=total,
-        cumulative_bytes=prior_cumulative + total,
+        one_time_bytes=num_clients * (public_bytes + soft_bytes),
     )
 
 
 class CostLedger:
-    """Running byte account over rounds; cumulative totals never decrease."""
+    """Running byte totals of a run, which never decrease.
+
+    Each record adds its `total_bytes` to `total` and its `one_time_bytes` to
+    `one_time_total`; the records themselves are not kept.
+    """
 
     def __init__(self):
-        self.records: list[CostRecord] = []
-
-    @property
-    def total(self) -> int:
-        return self.records[-1].cumulative_bytes if self.records else 0
-
-    @property
-    def one_time_total(self) -> int:
-        return sum(r.one_time_bytes for r in self.records)
+        self.total = 0
+        self.one_time_total = 0
 
     @property
     def recurring_total(self) -> int:
         return self.total - self.one_time_total
 
-    def record_round(self, plan: SamplingPlan, model_bytes: int, algorithm: str) -> CostRecord:
-        rec = comm_cost_step(plan, model_bytes, algorithm, prior_cumulative=self.total)
-        self.records.append(rec)
+    def _add(self, rec: CostRecord) -> CostRecord:
+        self.total += rec.total_bytes
+        self.one_time_total += rec.one_time_bytes
         return rec
+
+    def record_round(self, plan: SamplingPlan, model_bytes: int, algorithm: str) -> CostRecord:
+        return self._add(comm_cost_step(plan, model_bytes, algorithm))
 
     def record_one_time(
         self, num_clients: int, public_count: int, public_dim: int, num_classes: int
     ) -> CostRecord:
-        rec = one_time_cost(
-            num_clients, public_count, public_dim, num_classes, prior_cumulative=self.total
-        )
-        self.records.append(rec)
-        return rec
+        return self._add(one_time_cost(num_clients, public_count, public_dim, num_classes))
 
 
 def label_histogram(labels, num_classes: int) -> np.ndarray:

@@ -215,6 +215,46 @@ def test_pre_pass_updates_are_released_after_round_1(tmp_path, monkeypatch):
     assert len(refs) == 2 and alive == [0, 0]
 
 
+def test_similarity_matrix_is_released_before_round_1(tmp_path, monkeypatch):
+    # The rounds read only the cluster assignment: the artifacts are on disk
+    # and the similarity matrix is garbage before round 1 starts.
+    preprocess, run_round = experiment_mod.preprocess, experiment_mod.run_round
+    refs, seen = [], []
+
+    def keep_ref(*args, **kw):
+        pre = preprocess(*args, **kw)
+        refs.append(weakref.ref(pre.matrix))
+        return pre
+
+    def watch(server, *args, **kw):
+        if server.round == 0:
+            gc.collect()
+            run_dir = tmp_path / "runs" / "tiny"
+            seen.append((
+                refs[0]() is None,
+                (run_dir / "clusters.json").exists(),
+                (run_dir / "similarity_matrix.csv").exists(),
+            ))
+        return run_round(server, *args, **kw)
+
+    monkeypatch.setattr(experiment_mod, "preprocess", keep_ref)
+    monkeypatch.setattr(experiment_mod, "run_round", watch)
+    run_experiment(_tiny_config(tmp_path, sampler="stratified", rounds=3))
+    assert seen == [(True, True, True)]
+
+
+def test_cumulative_bytes_are_one_time_plus_rounds(tmp_path):
+    out = run_experiment(
+        _tiny_config(tmp_path, sampler="stratified", round1_participation="sampled", rounds=4)
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    per_round = summary["budget"] * 2 * summary["model_bytes"]
+    assert summary["one_time_bytes"] > 0
+    assert [m.cumulative_bytes for m in read_metrics_csv(out / "metrics.csv")] == [
+        summary["one_time_bytes"] + r * per_round for r in range(1, 5)
+    ]
+
+
 def test_compare_runs_deltas_and_unreached(tmp_path):
     fast = run_experiment(_tiny_config(tmp_path, name="fast", rounds=4, sample_ratio=1.0))
     slow = run_experiment(_tiny_config(tmp_path, name="slow", rounds=4))

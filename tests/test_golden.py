@@ -47,16 +47,19 @@ GOLDEN = {
         DETERMINISM,
         "340f8096b3ac2a1bba0e73d3f5cc1a681ed90801cb127a9af85b6c2f3056c4c9",
         "7e38b820690aca7f8b5628dc19fd05142f43ad5099e8f489a1d5d085374995e1",
+        "2b98de79a70eb86763b08099dc7d2b5b085c5d06030a8e5a89e1dd53ebea6272",
     ),
     "battery": (
         BATTERY,
         "d3714e8e5f2c049295569c0dc07c22bee40333c900566265db9d0d314e397e8e",
         "1756a827a89a2c0bf4cde9a306bec1117755553980178ca672eb5dbaa8c39d29",
+        "385a985bbf5b385b304cccf07761a2286e19582bcd7e623d5dca742bc1e06493",
     ),
     "scaffold": (
         SCAFFOLD,
         "a06b6a07cda7d184864d8389e0604d2f32b3fa957487c872261ad2fe0dabb423",
         "9a53994c85195627c9e0616ed9606c032b667fc6c27f103316a1e506af6af82b",
+        "5e919bbf27ef73ff7750b6ca83769a7c05b714585e79991104acaa007c3a29f0",
     ),
 }
 
@@ -67,7 +70,8 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_bytes(name, tmp_path):
-    config, metrics_sha, matrix_sha = GOLDEN[name]
+    config, metrics_sha, matrix_sha, clusters_sha = GOLDEN[name]
     out = run_experiment(ExperimentConfig(name=name, output_dir=str(tmp_path), **config))
     assert _sha256(out / "metrics.csv") == metrics_sha
     assert _sha256(out / "similarity_matrix.csv") == matrix_sha
+    assert _sha256(out / "clusters.json") == clusters_sha

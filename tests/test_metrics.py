@@ -183,9 +183,9 @@ def test_ledger_cumulative_monotone_and_decomposes():
     ledger.record_one_time(10, 100, 4, 3)
     prev = 0
     for r in range(1, 6):
-        rec = ledger.record_round(_plan(range(4), r), model_bytes=500, algorithm="fedavg")
-        assert rec.cumulative_bytes >= prev
-        prev = rec.cumulative_bytes
+        ledger.record_round(_plan(range(4), r), model_bytes=500, algorithm="fedavg")
+        assert ledger.total >= prev
+        prev = ledger.total
     assert ledger.total == ledger.one_time_total + ledger.recurring_total
     assert ledger.recurring_total == 5 * 4 * 2 * 500
 
