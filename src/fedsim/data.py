@@ -77,7 +77,9 @@ class Partition:
         if any(a.size == 0 for a in self.assignment):
             raise ValueError("every client needs at least one sample")
         flat = np.concatenate(self.assignment) if self.assignment else np.array([], np.int64)
-        if flat.size != np.unique(flat).size:
+        flat.sort()
+        # Sorted neighbours, not `np.unique`, which imports `numpy.ma` on first use.
+        if (flat[1:] == flat[:-1]).any():
             raise ValueError("partition assigns a sample index to two clients")
 
     @property

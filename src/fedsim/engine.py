@@ -19,6 +19,8 @@ gradient stack, so a member holds its parameters, its gradient and (SCAFFOLD)
 its gradient correction. Every client's update is bit-equal to training it
 alone, in a group of one. A group holds as many clients as fit `GROUP_BYTES` of
 stacked parameters, so a model too large for two trains one client at a time.
+A SCAFFOLD client's new control variate is derived again when the round is
+aggregated, so no update stores it.
 """
 
 from __future__ import annotations
@@ -88,25 +90,19 @@ class ServerState:
 class LocalUpdate:
     """One client's upload after local training.
 
-    With SCAFFOLD, `new_control` is the client's new control variate c_i+ and
-    `control` is the c_i it trained with: a reference to the client's own
-    array, not a copy (`None` means c_i = 0). The client keeps c_i until the
-    round is aggregated, so the upload's delta c_i+ - c_i is not stored.
+    With SCAFFOLD, `control_divisor` is K * lr: `local_steps` times the last
+    epoch's rate (`None` for the other algorithms). The new control variate
+    c_i+ = (g - w_i) / (K * lr) - (c - c_i) depends only on the new
+    parameters w_i, this scalar, the client's standing c_i and the server's g
+    and c, so `aggregate_scaffold` derives it there and the update stores
+    neither c_i+ nor c_i.
     """
 
     client_id: int
     new_params: ModelParams
     num_samples: int
     local_steps: int
-    new_control: np.ndarray | None = None
-    control: np.ndarray | None = None
-
-    @property
-    def delta_control(self) -> np.ndarray | None:
-        """c_i+ - c_i, as a new array on each read; `None` without a new control."""
-        if self.new_control is None:
-            return None
-        return self.new_control - (0.0 if self.control is None else self.control)
+    control_divisor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -178,16 +174,17 @@ def train_clients(
     Each client's run is seeded per (seed, round, client) and does not depend
     on which other clients train with it. The learning rate is multiplied by
     `decay` after each local epoch. SCAFFOLD corrects every gradient by
-    (c - c_i) and reports the new control variate c_i+, derived from the
-    parameter displacement over the last epoch's rate. Each SCAFFOLD update
-    holds c_i+ and a reference to the client's c_i, not their delta: its
-    `delta_control` is computed on each read.
+    (c - c_i). Its new control variate c_i+ is computed once here, only to
+    check that it is finite; the update keeps the parameters and the divisor
+    K * lr, and `aggregate_scaffold` derives c_i+ again with the same
+    operations. So the clients' controls must not change between training
+    and aggregation.
 
     Inputs are validated once per group: the feature width, finite client rows
     and labels within the model's classes. Every epoch visits every row, so
     the steps themselves re-check nothing. A client whose loss at some step, or
-    whose final parameters or control variate, are non-finite diverged: it gets
-    `None` and one "dropping update" warning.
+    whose final parameters or new control variate, are non-finite diverged: it
+    gets `None` and one "dropping update" warning.
 
     Clients are sorted by size, and so by step count, largest first, and cut
     into lockstep groups whose stacked parameters fit in `GROUP_BYTES`. Each
@@ -224,10 +221,12 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     update, (grad + correction) * lr, is formed in the gradient stack, which
     the next step rewrites whole before reading it, so a member holds its
     parameters, its gradient and (SCAFFOLD) its correction while it trains,
-    and its result holds its parameters and (SCAFFOLD) its new control. Each
-    client's result is bit-equal to training it alone: no operation mixes two
-    members' values, so a diverged member keeps stepping beside the others and
-    is dropped at the end, with `None` in its place.
+    and its result holds its parameters. A SCAFFOLD member's new control is
+    formed in its gradient row, dead after the last step, and only checked
+    for finiteness. Each client's result is bit-equal to training it alone:
+    no operation mixes two members' values, so a diverged member keeps
+    stepping beside the others and is dropped at the end, with `None` in its
+    place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -254,10 +253,7 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     if scaffold:
         correction = np.empty_like(values)
         for c, client in enumerate(members):
-            # A client without a control variate has c_i = 0; the scalar 0.0
-            # gives the same bits as a zero vector, here and in `delta_control`.
-            control = 0.0 if client.control is None else client.control
-            np.subtract(server_control, control, out=correction[c])
+            np.subtract(server_control, _control_of(client), out=correction[c])
     if prox_mu > 0:
         diff = np.empty_like(values)
 
@@ -341,23 +337,40 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     sizes = [client.data.size for client in members]
     for c, client in enumerate(members):
         n_steps = cfg.epochs * -(-sizes[c] // cfg.batch_size)
+        divisor = n_steps * lr_effective if scaffold else None
         finite = not diverged[c] and np.isfinite(values[c]).all()
-        new_control = None
         if finite and scaffold:
-            # (g - w) / (steps * lr) - (c - c_i): the bits of c_i - c + (g - w)
-            # / (steps * lr) unless the quotient holds a -0.0 where c == c_i.
-            new_control = np.subtract(global_params.values, values[c])
-            new_control /= n_steps * lr_effective
-            new_control -= correction[c]
+            # Formed in the member's gradient row, dead after the last step.
+            new_control = _new_control(
+                global_params.values, values[c], divisor, correction[c], out=grad[c]
+            )
             finite = np.isfinite(new_control).all()
         if not finite:
             logger.warning("dropping update: client %d diverged in round %d", client.id, round_idx)
             results.append(None)
             continue
-        results.append(LocalUpdate(
-            client.id, ModelParams(values[c], spec), sizes[c], n_steps, new_control, client.control
-        ))
+        results.append(
+            LocalUpdate(client.id, ModelParams(values[c], spec), sizes[c], n_steps, divisor)
+        )
     return results
+
+
+def _control_of(client: ClientState):
+    """The client's control c_i; the scalar 0.0 for none gives the bits of a zero vector."""
+    return 0.0 if client.control is None else client.control
+
+
+def _new_control(global_values, values, divisor, correction, out=None):
+    """SCAFFOLD's c_i+ = (g - w) / (K * lr) - (c - c_i), given `correction` = c - c_i.
+
+    The one formula training checks and aggregation installs, so the two give
+    the same bits. They are those of c_i - c + (g - w) / (K * lr) unless the
+    quotient holds a -0.0 where c == c_i.
+    """
+    out = np.subtract(global_values, values, out=out)
+    out /= divisor
+    out -= correction
+    return out
 
 
 def _schedule(members, dataset, global_params, cfg, round_idx):
@@ -412,29 +425,40 @@ def aggregate_fedavg(updates: list[LocalUpdate]) -> ModelParams:
 
 
 def aggregate_scaffold(
-    server: ServerState, updates: list[LocalUpdate], total_clients: int
+    server: ServerState, updates: list[LocalUpdate], clients: list[ClientState]
 ) -> tuple[ModelParams, np.ndarray]:
     """`aggregate_fedavg` parameters plus the server control moved by |s|/N times the mean delta.
 
-    The mean delta is a running sum in client-id order divided by the count:
-    the same additions, in the same order, as `np.mean` over the stacked
-    deltas, without the stack. Each update's `delta_control` is read once,
-    and the first read, a new array, is the running sum's buffer.
+    `clients` is the whole roster, indexed by client id; N is its length.
+    Each update must come from `server`'s model and control and from its
+    client's standing control c_i. In client-id order, each client's new
+    control c_i+ is derived from its update by the formula training checked,
+    c_i+ - c_i is added to a running sum, and c_i+ replaces c_i on the client,
+    so the old control is freed at once. The mean delta is that sum divided by
+    the count: the same additions, in the same order, as `np.mean` over the
+    stacked deltas, without the stack. The loop allocates only the installed
+    controls.
     """
     ups = sorted(updates, key=lambda u: u.client_id)
-    if any(u.new_control is None for u in ups):
-        raise ValueError("scaffold aggregation needs new_control on every update")
+    if any(u.control_divisor is None for u in ups):
+        raise ValueError("scaffold aggregation needs control_divisor on every update")
     params = aggregate_fedavg(ups)
-    control = (
-        np.zeros_like(server.global_params.values)
-        if server.server_control is None
-        else server.server_control
-    )
-    mean_delta = ups[0].delta_control
-    for u in ups[1:]:
-        mean_delta += u.delta_control
+    g = server.global_params.values
+    control = np.zeros_like(g) if server.server_control is None else server.server_control
+    scratch = np.empty_like(g)  # c - c_i, then c_i+ - c_i
+    mean_delta = None
+    for u in ups:
+        client = clients[u.client_id]
+        old = _control_of(client)
+        np.subtract(control, old, out=scratch)
+        new = _new_control(g, u.new_params.values, u.control_divisor, scratch)
+        if mean_delta is None:
+            mean_delta = np.subtract(new, old)
+        else:
+            mean_delta += np.subtract(new, old, out=scratch)
+        client.control = new
     mean_delta /= len(ups)
-    new_control = control + (len(ups) / total_clients) * mean_delta
+    new_control = control + (len(ups) / len(clients)) * mean_delta
     return params, new_control
 
 
@@ -476,7 +500,10 @@ def run_round(
 
     Pre-computed `updates` (e.g. from the clustering pre-pass) hold one entry
     per client, in client-id order, `None` for a dropped client; they skip the
-    training step but go through identical aggregation and accounting. The
+    training step but go through identical aggregation and accounting, so
+    they must come from `server` and the clients' current controls. With
+    SCAFFOLD, `aggregate_scaffold` installs each trained client's new control
+    as it derives it. The
     round's accuracy and loss are nan: callers score the new global model with
     `metrics.evaluate_global`, as `run_experiment` does while the next round
     trains.
@@ -502,9 +529,7 @@ def run_round(
         logger.warning("round %d: every update diverged; global model unchanged", round_idx)
         new_global = snapshot
     elif cfg.algorithm == "scaffold":
-        new_global, new_control = aggregate_scaffold(server, accepted, len(clients))
-        for u in accepted:
-            clients[u.client_id].control = u.new_control
+        new_global, new_control = aggregate_scaffold(server, accepted, clients)
     elif cfg.algorithm == "fednova":
         new_global = aggregate_fednova(snapshot, accepted)
     else:

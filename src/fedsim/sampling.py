@@ -81,10 +81,10 @@ class SamplingPlan:
     per_cluster_quota: list[int] | None = None
 
     def __post_init__(self):
-        self.selected = np.asarray(self.selected, dtype=np.int64)
-        if self.selected.size != np.unique(self.selected).size:
+        self.selected = np.sort(np.asarray(self.selected, dtype=np.int64))
+        # Sorted neighbours, not `np.unique`, which imports `numpy.ma` on first use.
+        if (self.selected[1:] == self.selected[:-1]).any():
             raise ValueError("selected client ids must be unique")
-        self.selected = np.sort(self.selected)
 
     @property
     def budget(self) -> int:

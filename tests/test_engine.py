@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import tracemalloc
@@ -43,9 +44,22 @@ def _setup(seed=0, n_clients=4, per_class=8):
     return ds, clients, global_params
 
 
-def _update(cid, values, n, steps, spec=SPEC, new_control=None):
-    # The client trained with c_i = 0, so `delta_control` has the bits of `new_control`.
-    return LocalUpdate(cid, ModelParams(values, spec), n, steps, new_control)
+def _update(cid, values, n, steps, spec=SPEC, control_divisor=None):
+    return LocalUpdate(cid, ModelParams(values, spec), n, steps, control_divisor)
+
+
+def _roster(count, controls=None):
+    """`count` one-row clients with ids 0..count-1, client i holding `controls[i]` if given."""
+    controls = controls or {}
+    return [ClientState(i, [i], controls.get(i)) for i in range(count)]
+
+
+def _formula_control(server, up, old_control):
+    """SCAFFOLD's c_i+ = (g - w_i) / (K * lr) - (c - c_i), written out operation by operation."""
+    old = 0.0 if old_control is None else old_control
+    return (server.global_params.values - up.new_params.values) / up.control_divisor - (
+        server.server_control - old
+    )
 
 
 def _assert_dropped(caplog, *client_ids, round_idx=1):
@@ -122,7 +136,7 @@ def test_scaffold_zero_variates_identical_to_fedavg():
     a = train_clients([clients[0]], ds, g, avg_cfg, round_idx=1)[0]
     b = train_clients([clients[0]], ds, g, sca_cfg, round_idx=1, server_control=zero)[0]
     assert np.array_equal(a.new_params.values, b.new_params.values)
-    assert b.delta_control is not None
+    assert a.control_divisor is None and b.control_divisor is not None
 
 
 def test_scaffold_requires_server_control():
@@ -136,39 +150,42 @@ def test_scaffold_control_update_rule():
     ds, clients, g = _setup()
     cfg = TrainConfig(algorithm="scaffold", epochs=2, batch_size=4, lr=0.05, master_seed=2)
     c_server = np.full(SPEC.num_params, 0.01)
-    clients[0].control = np.full(SPEC.num_params, -0.02)
+    old = clients[0].control = np.full(SPEC.num_params, -0.02)
     up = train_clients([clients[0]], ds, g, cfg, round_idx=1, server_control=c_server)[0]
     lr_eff = 0.05 * 0.99 ** (2 - 1)
-    expected_new = (
-        clients[0].control
-        - c_server
-        + (g.values - up.new_params.values) / (up.local_steps * lr_eff)
-    )
-    np.testing.assert_allclose(up.new_control, expected_new, atol=1e-12)
-    np.testing.assert_allclose(up.delta_control, expected_new - clients[0].control, atol=1e-12)
+    expected_new = old - c_server + (g.values - up.new_params.values) / (up.local_steps * lr_eff)
+    # Aggregation derives c_i+ and installs it; the server control moves by
+    # 1/N of the one delta c_i+ - c_i.
+    _, control = aggregate_scaffold(ServerState(g, c_server), [up], clients)
+    np.testing.assert_allclose(clients[0].control, expected_new, atol=1e-12)
+    np.testing.assert_allclose((control - c_server) * len(clients), expected_new - old, atol=1e-12)
 
 
 def test_delta_control_is_a_new_array_on_every_read():
-    # `aggregate_scaffold` adds in place into the first delta it reads, so no
-    # read may alias the update's new control or the client's own control.
+    # `aggregate_scaffold` forms each delta c_i+ - c_i in scratch and adds it
+    # in place into a running sum, so no delta, sum or installed control may
+    # alias another array, or write into an old control, the server's control
+    # or an update.
     ds, clients, g = _setup()
     cfg = TrainConfig(algorithm="scaffold", epochs=2, batch_size=4, lr=0.05, master_seed=2)
     rng = np.random.default_rng(3)
     server_control = rng.normal(scale=0.01, size=SPEC.num_params)
     clients[0].control = rng.normal(scale=0.01, size=SPEC.num_params)
+    old = [c.control for c in clients]
+    old_bytes = [None if c is None else c.tobytes() for c in old]
+    server_bytes = server_control.tobytes()
+    references = [_reference_train(c, ds, g, cfg, 1, server_control)[2] for c in clients[:2]]
     updates = train_clients(clients[:2], ds, g, cfg, 1, server_control)
-    for client, up in zip(clients, updates):
-        assert up.control is client.control  # a reference, None for c_i = 0
-        control = np.zeros(SPEC.num_params) if client.control is None else client.control.copy()
-        new_control = up.new_control.copy()
-        first, second = up.delta_control, up.delta_control
-        assert first is not second and first is not up.new_control
-        assert first.tobytes() == second.tobytes() == (new_control - control).tobytes()
-        first += 1.0
-        assert up.new_control.tobytes() == new_control.tobytes()
-        if client.control is not None:
-            assert client.control.tobytes() == control.tobytes()
-        assert up.delta_control.tobytes() == second.tobytes()
+    params_bytes = [u.new_params.values.tobytes() for u in updates]
+    _, control = aggregate_scaffold(ServerState(g, server_control), updates, clients)
+    installed = [c.control for c in clients[:2]]
+    arrays = [*installed, control, server_control, old[0]]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    for new, ref in zip(installed, references):
+        assert new.tobytes() == ref.tobytes()
+    assert old[0].tobytes() == old_bytes[0] and server_control.tobytes() == server_bytes
+    assert [u.new_params.values.tobytes() for u in updates] == params_bytes
+    assert clients[2].control is old[2] and clients[3].control is old[3]
 
 
 def _reference_train(client, ds, g, cfg, round_idx, server_control=None):
@@ -219,17 +236,21 @@ def test_local_train_matches_reference_loop(algorithm):
         clients[1].control = rng.normal(scale=0.01, size=spec.num_params)
     assert any(len(c.data) % cfg.batch_size for c in clients)  # a short last batch
     for client in clients:
-        up = train_clients([client], ds, g, cfg, 2, server_control)[0]
         params, steps, new_control, old_control = _reference_train(
             client, ds, g, cfg, 2, server_control
         )
+        up = train_clients([client], ds, g, cfg, 2, server_control)[0]
         assert np.array_equal(up.new_params.values, params.values)
         assert up.local_steps == steps
         if algorithm == "scaffold":
-            assert np.array_equal(up.new_control, new_control)
-            assert np.array_equal(up.delta_control, new_control - old_control)
+            # Aggregating the one update installs c_i+ and moves the server
+            # control by 1/N of c_i+ - c_i.
+            _, control = aggregate_scaffold(ServerState(g, server_control), [up], clients)
+            assert np.array_equal(client.control, new_control)
+            expected = server_control + (1 / len(clients)) * (new_control - old_control)
+            assert np.array_equal(control, expected)
         else:
-            assert up.new_control is None and up.delta_control is None
+            assert up.control_divisor is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,28 +316,37 @@ def test_train_clients_matches_reference_loop(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_mod, "GROUP_BYTES", group_bytes)
         updates = train_clients(clients, ds, g, cfg, 4, server_control)
-    for client, up in zip(clients, updates):
-        params, steps, new_control, old_control = _reference_train(
-            client, ds, g, cfg, 4, server_control
-        )
+    references = [_reference_train(client, ds, g, cfg, 4, server_control) for client in clients]
+    for client, up, (params, steps, _, _) in zip(clients, updates, references):
         assert up.client_id == client.id
         # `tobytes` also tells +0.0 from -0.0, which `array_equal` does not.
         assert np.array_equal(up.new_params.values, params.values)
         assert up.new_params.values.tobytes() == params.values.tobytes()
         assert up.local_steps == steps
-        if algorithm == "scaffold":
-            delta_control = new_control - old_control
-            assert np.array_equal(up.new_control, new_control)
-            assert np.array_equal(up.delta_control, delta_control)
-            assert up.new_control.tobytes() == new_control.tobytes()
-            assert up.delta_control.tobytes() == delta_control.tobytes()
+    if algorithm == "scaffold":
+        # Aggregation, over a roster indexed by client id, installs each c_i+
+        # and folds the deltas c_i+ - c_i in client-id order: the order here.
+        roster = _roster(clients[-1].id + 1)
+        for client in clients:
+            roster[client.id] = client
+        _, control = aggregate_scaffold(ServerState(g, server_control), updates, roster)
+        deltas = []
+        for client, (_, _, new_control, old_control) in zip(clients, references):
+            assert np.array_equal(client.control, new_control)
+            assert client.control.tobytes() == new_control.tobytes()
+            deltas.append(new_control - old_control)
+        share = len(clients) / len(roster)
+        expected = server_control + share * np.mean(np.stack(deltas), axis=0)
+        assert np.array_equal(control, expected)
+        assert control.tobytes() == expected.tobytes()
 
 
 def _train_clients_peak_in_parameter_vectors(algorithm):
     # Three one-client groups of a 67,843-parameter model. A member's step
     # holds its parameters, its gradient and (SCAFFOLD) its correction, and
-    # each result keeps its parameters (and its new control: the delta is not
-    # stored, and the client's old control was allocated before the trace).
+    # each result keeps only its parameters: a SCAFFOLD member's new control
+    # is formed in its dead gradient row, and the client's old control was
+    # allocated before the trace.
     spec = ModelSpec((4, 256, 256, 3))
     assert engine_mod.GROUP_BYTES // (8 * spec.num_params) == 1
     ds = synth_blobs(3, 4, 20, 1.0, seed=0)
@@ -348,6 +378,46 @@ def test_train_clients_peak_memory_in_parameter_vectors(algorithm, bound):
 def test_scaffold_update_does_not_store_its_control_delta():
     # Storing each update's delta beside its new control read 11.34 vectors.
     assert _train_clients_peak_in_parameter_vectors("scaffold") < 8.8
+
+
+def test_scaffold_update_does_not_store_its_new_control():
+    # Storing each update's new control c_i+ until aggregation read 8.34
+    # vectors; deriving it there reads 5.34.
+    assert _train_clients_peak_in_parameter_vectors("scaffold") < 5.8
+
+
+def test_run_round_holds_one_vector_per_scaffold_client_into_aggregation(monkeypatch):
+    # Four of six clients train as one lockstep group. On entry to
+    # `aggregate_scaffold`, memory traced since the clients' standing controls
+    # were allocated, less those controls, is the trained clients' new
+    # parameters: one vector each. Storing each c_i+ as well read 2.00.
+    spec = ModelSpec((4, 128, 128, 3))
+    vector = 8 * spec.num_params
+    assert engine_mod.GROUP_BYTES // vector >= 4
+    ds = synth_blobs(3, 4, 20, 1.0, seed=0)
+    order = np.random.default_rng(0).permutation(len(ds))
+    clients = [ClientState(i, order[10 * i : 10 * (i + 1)]) for i in range(6)]
+    rng = np.random.default_rng(1)
+    server = ServerState(init_params(spec, 0), rng.normal(scale=0.01, size=spec.num_params))
+    cfg = TrainConfig(algorithm="scaffold", epochs=2, batch_size=4, lr=0.05)
+    plan = SamplingPlan(1, np.array([0, 2, 3, 5]))
+    aggregate = engine_mod.aggregate_scaffold
+    live = []
+
+    def traced(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return aggregate(*args)
+
+    monkeypatch.setattr(engine_mod, "aggregate_scaffold", traced)
+    tracemalloc.start()
+    try:
+        for c in clients:
+            c.control = rng.normal(scale=0.01, size=spec.num_params)
+        run_round(server, clients, ds, plan, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    assert (live[0] - len(clients) * vector) / (plan.budget * vector) <= 1.2
 
 
 def test_train_clients_schedule_memory_per_scheduled_row():
@@ -579,16 +649,23 @@ def test_aggregators_ignore_update_order(sizes, seed, data):
     ids = rng.choice(50, size=len(sizes), replace=False)
     ups = [
         _update(int(cid), rng.normal(size=n), sz, int(rng.integers(1, 20)), spec,
-                new_control=rng.normal(size=n))
+                control_divisor=float(rng.uniform(0.01, 10.0)))
         for cid, sz in zip(ids, sizes)
     ]
+    # About half the sampled clients hold a control; the rest have c_i = 0.
+    controls = {int(cid): rng.normal(size=n) for cid in ids if rng.random() < 0.5}
     shuffled = data.draw(st.permutations(ups))
     assert np.array_equal(aggregate_fedavg(ups).values, aggregate_fedavg(shuffled).values)
     server = ServerState(init_params(spec, seed), rng.normal(size=n))
-    params, control = aggregate_scaffold(server, ups, total_clients=50)
-    params_s, control_s = aggregate_scaffold(server, shuffled, total_clients=50)
+    roster = _roster(50, {i: c.copy() for i, c in controls.items()})
+    roster_s = _roster(50, {i: c.copy() for i, c in controls.items()})
+    params, control = aggregate_scaffold(server, ups, roster)
+    params_s, control_s = aggregate_scaffold(server, shuffled, roster_s)
     assert np.array_equal(params.values, params_s.values)
     assert np.array_equal(control, control_s)
+    for a, b in zip(roster, roster_s):
+        assert (a.control is None) == (b.control is None)
+        assert a.control is None or a.control.tobytes() == b.control.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -604,14 +681,25 @@ def test_aggregate_scaffold_matches_stacked_mean(count, widths, seed):
     n = spec.num_params
     rng = np.random.default_rng(seed)
     ids = rng.choice(10 * count, size=count, replace=False)
-    ups = [
-        _update(int(cid), rng.normal(size=n), int(rng.integers(1, 50)), 2, spec,
-                new_control=rng.normal(scale=10.0 ** rng.integers(-6, 3), size=n))
-        for cid in ids
-    ]
-    server = ServerState(init_params(spec, seed), rng.normal(size=n))
-    _, control = aggregate_scaffold(server, ups, total_clients=10 * count)
-    deltas = np.stack([u.delta_control for u in sorted(ups, key=lambda u: u.client_id)])
+    g = init_params(spec, seed)
+    server = ServerState(g, rng.normal(size=n))
+    roster = _roster(10 * count)
+    ups = []
+    for cid in ids:
+        # Displacements, and so controls, from 1e-6 to 1e2 in scale; about
+        # half the clients hold a control of the same scale.
+        scale = 10.0 ** rng.integers(-6, 3)
+        ups.append(_update(int(cid), g.values - rng.normal(scale=scale, size=n),
+                           int(rng.integers(1, 50)), 2, spec, float(rng.uniform(0.5, 2.0))))
+        if rng.random() < 0.5:
+            roster[cid].control = rng.normal(scale=scale, size=n)
+    ups_by_id = sorted(ups, key=lambda u: u.client_id)
+    old = [roster[u.client_id].control for u in ups_by_id]
+    new = [_formula_control(server, u, c) for u, c in zip(ups_by_id, old)]
+    _, control = aggregate_scaffold(server, ups, roster)
+    for u, c in zip(ups_by_id, new):
+        assert roster[u.client_id].control.tobytes() == c.tobytes()
+    deltas = np.stack([c - (0.0 if o is None else o) for c, o in zip(new, old)])
     expected = server.server_control + (count / (10 * count)) * np.mean(deltas, axis=0)
     assert np.array_equal(control, expected)
 
@@ -634,37 +722,87 @@ def test_aggregate_fednova_equal_steps_is_fedavg(sizes, steps, seed):
 
 
 def test_aggregate_scaffold_zero_deltas_keep_control():
+    # (g - w) / (K * lr) = (1 - 0) / 2 equals c = 0.5, so every delta
+    # c_i+ - c_i is 0 whatever c_i is, and each client keeps its control's values.
     spec = ModelSpec((2, 2))
     n = spec.num_params
-    g = init_params(spec, 0)
-    server = ServerState(g, np.full(n, 0.5))
-    ups = [_update(i, np.zeros(n), 2, 2, spec, new_control=np.zeros(n)) for i in range(3)]
-    _, c = aggregate_scaffold(server, ups, total_clients=10)
+    server = ServerState(ModelParams(np.ones(n), spec), np.full(n, 0.5))
+    ups = [_update(i, np.zeros(n), 2, 2, spec, control_divisor=2.0) for i in range(3)]
+    clients = _roster(10, {1: np.full(n, 0.25), 2: np.full(n, -3.0)})
+    _, c = aggregate_scaffold(server, ups, clients)
     assert np.array_equal(c, np.full(n, 0.5))
+    for client, value in zip(clients, (0.0, 0.25, -3.0)):
+        assert np.array_equal(client.control, np.full(n, value))
 
 
 def test_aggregate_scaffold_full_participation_adds_delta():
+    # c = 0 and c_i = 0: each new control is (0.6 - 0) / 2 = 0.3, and with
+    # every client sampled the server control moves by the whole mean delta.
     spec = ModelSpec((2, 2))
     n = spec.num_params
-    server = ServerState(init_params(spec, 0), np.zeros(n))
+    server = ServerState(ModelParams(np.full(n, 0.6), spec), np.zeros(n))
     v = np.full(n, 0.3)
-    ups = [_update(i, np.zeros(n), 2, 2, spec, new_control=v.copy()) for i in range(4)]
-    _, c = aggregate_scaffold(server, ups, total_clients=4)
+    ups = [_update(i, np.zeros(n), 2, 2, spec, control_divisor=2.0) for i in range(4)]
+    clients = _roster(4)
+    _, c = aggregate_scaffold(server, ups, clients)
     np.testing.assert_allclose(c, v, atol=1e-15)
+    for client in clients:
+        np.testing.assert_allclose(client.control, v, atol=1e-15)
 
 
 def test_aggregate_scaffold_two_client_hand_value():
     spec = ModelSpec((2, 2))
     n = spec.num_params
-    server = ServerState(init_params(spec, 1), np.full(n, 0.1))
-    d0, d1 = np.full(n, 0.2), np.full(n, -0.4)
-    ups = [_update(0, np.zeros(n), 1, 2, spec, d0), _update(1, np.ones(n), 3, 2, spec, d1)]
-    params, c = aggregate_scaffold(server, ups, total_clients=8)
-    # params: weighted mean 0.25*0 + 0.75*1; control: 0.1 + (2/8)*mean(0.2, -0.4)
+    server = ServerState(ModelParams(np.full(n, 0.5), spec), np.full(n, 0.1))
+    ups = [_update(0, np.zeros(n), 1, 2, spec, 0.5), _update(1, np.ones(n), 3, 2, spec, 0.25)]
+    clients = _roster(8, {1: np.full(n, 0.2)})
+    params, c = aggregate_scaffold(server, ups, clients)
+    # params: weighted mean 0.25*0 + 0.75*1.
+    # c_0+ = (0.5 - 0) / 0.5 - (0.1 - 0) = 0.9, a delta of 0.9;
+    # c_1+ = (0.5 - 1) / 0.25 - (0.1 - 0.2) = -1.9, a delta of -2.1;
+    # control: 0.1 + (2/8) * mean(0.9, -2.1) = -0.05.
     assert np.allclose(params.values, 0.75)
-    np.testing.assert_allclose(c, 0.1 + 0.25 * (-0.1), atol=1e-15)
+    np.testing.assert_allclose(clients[0].control, 0.9, atol=1e-15)
+    np.testing.assert_allclose(clients[1].control, -1.9, atol=1e-15)
+    np.testing.assert_allclose(c, -0.05, atol=1e-15)
     with pytest.raises(ValueError):
-        aggregate_scaffold(server, [_update(0, np.zeros(n), 1, 2, spec)], 8)
+        aggregate_scaffold(server, [_update(0, np.zeros(n), 1, 2, spec)], clients)
+
+
+def test_scaffold_partial_participation_installs_reference_controls():
+    # Two rounds of a few of six clients, trained and aggregated as `run_round`
+    # does, with the updates in an order that is not client-id order. Each
+    # installed control has the bits of the reference loop's c_i+, an
+    # unsampled client keeps its control object, and the server control has
+    # the bits of the deltas' mean in client-id order.
+    ds, clients, g = _setup(n_clients=6, per_class=20)
+    cfg = TrainConfig(
+        algorithm="scaffold", epochs=2, batch_size=4, lr=0.05, decay=0.9, master_seed=3
+    )
+    server = ServerState(g, np.random.default_rng(4).normal(scale=0.01, size=SPEC.num_params))
+    for round_idx, order in ((1, [4, 0, 2]), (2, [3, 2, 5, 0])):
+        references = {
+            cid: _reference_train(clients[cid], ds, server.global_params, cfg, round_idx,
+                                  server.server_control)
+            for cid in order
+        }
+        before = [c.control for c in clients]
+        updates = train_clients(
+            [clients[cid] for cid in order], ds, server.global_params, cfg, round_idx,
+            server.server_control,
+        )
+        params, control = aggregate_scaffold(server, updates, clients)
+        for client in clients:
+            if client.id in references:
+                assert client.control.tobytes() == references[client.id][2].tobytes()
+            else:
+                assert client.control is before[client.id]
+        deltas = [references[cid][2] - references[cid][3] for cid in sorted(order)]
+        share = len(order) / len(clients)
+        expected = server.server_control + share * np.mean(np.stack(deltas), axis=0)
+        assert control.tobytes() == expected.tobytes()
+        assert params.values.tobytes() == aggregate_fedavg(updates).values.tobytes()
+        server = ServerState(params, control, round_idx)
 
 
 def test_aggregate_fednova_singleton_returns_client_params():

@@ -617,6 +617,29 @@ def test_metrics_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert len(shas[0]) == 64 and shas[1] == shas[0]
 
 
+_RUN_AND_LIST_NUMPY_MA = """
+import json, sys
+from fedsim import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(**json.loads(sys.argv[1])))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_stratified_run_does_not_import_numpy_ma(tmp_path):
+    # `np.unique` imports `numpy.ma` on first use, 10-14 ms and 0.8 MB of a
+    # run's set-up; duplicate checks sort and compare neighbours instead.
+    raw = _tiny_config(tmp_path, sampler="stratified", rounds=2).to_dict()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(fedsim.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_NUMPY_MA, json.dumps(raw)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_compare_single_dir_fails(tmp_path, capsys):
     rc = cli_main(["compare", "--target", "0.5", str(tmp_path)])
     assert rc == 1
