@@ -235,7 +235,11 @@ def write_metrics_csv(rows: list[RoundMetrics], path) -> None:
 
 
 def read_metrics_csv(path) -> list[RoundMetrics]:
-    """Rows written by `write_metrics_csv`; a file lacking any of its columns is a ValueError."""
+    """Rows written by `write_metrics_csv`.
+
+    A file lacking any of its columns, or a row with fewer or more fields than
+    the header, is a ValueError naming the file (and the line).
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -243,6 +247,9 @@ def read_metrics_csv(path) -> list[RoundMetrics]:
         if missing:
             raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
         for rec in reader:
+            # DictReader keys a row's extra fields by None and fills missing ones with None.
+            if None in rec or None in rec.values():
+                raise ValueError(f"{path} line {reader.line_num} does not have one field per column")
             rows.append(
                 RoundMetrics(
                     round=int(rec["round"]),

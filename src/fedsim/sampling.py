@@ -33,9 +33,10 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 SIM_TILE = 32
 SIM_DEPTH = 256
 # Soft-label values per block of whole clients that `build_similarity_matrix`
-# checks and sums at once (at least one client). At 1000 x 200 x 20 this took
-# 17 ms against 45 ms client by client; 2**16 values were no faster and held
-# 0.25 MB more.
+# checks at once (at least one client). At 1000 x 200 x 20 this took 17 ms
+# against 45 ms client by client; 2**16 values were no faster and held 0.25 MB
+# more. `_cross_term` floors CHECK_BLOCK_VALUES // SIM_DEPTH = 128 clients, four
+# tiles, of a column chunk at a time.
 CHECK_BLOCK_VALUES = 1 << 15
 # Values per `save_matrix_csv` block (whole rows): 16 rows at n = 1000, with a
 # 3 MB gather index. At n = 1000, 2**16 values were slower and 2**12 to 2**15
@@ -94,7 +95,8 @@ class SamplingPlan:
 def _floor_rows(rows: np.ndarray) -> np.ndarray:
     """Clip probabilities at the floor and renormalize each row."""
     a = np.maximum(rows, PROB_FLOOR)
-    return a / a.sum(axis=-1, keepdims=True)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
 
 
 def _check_distribution(p: np.ndarray, name: str) -> None:
@@ -136,11 +138,11 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     time; the first bad client is named in `_check_distribution`'s words.
 
     Memory beside the input, in float64s: the (n, n) accumulator, which
-    becomes the result; the (n, samples) floored row sums; and `_cross_term`'s
-    buffers: two (pad, SIM_DEPTH) chunks, pad = n rounded up to a whole
-    `SIM_TILE`, an (n, SIM_DEPTH) divisor chunk and a (SIM_TILE, pad) block row
-    of tile products. At 1000 x 200 x 20 that is about 16 MB beside the 32 MB
-    input.
+    becomes the result, and `_cross_term`'s buffers: one (pad, SIM_DEPTH)
+    chunk of log P, pad = n rounded up to a whole `SIM_TILE`; one row group's
+    floored operand and the floored probe rows it is cut from; and a
+    (SIM_TILE, pad) block row of tile products. At 1000 x 200 x 20 that is an
+    8 MB result and 2.9 MiB of buffers beside the 32 MB input.
     """
     probs = np.asarray(soft_labels, dtype=np.float64)
     if probs.ndim != 3:
@@ -148,8 +150,8 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     n, samples = probs.shape[:2]
     if n == 0:
         raise ValueError("need at least one soft-label set")
-    # Each probe row's sum after flooring, as `_floor_rows` divides by.
-    row_sums = np.empty((n, samples))
+    if samples == 0:
+        raise ValueError("need at least one probe sample per soft-label set")
     per_block = max(1, CHECK_BLOCK_VALUES // max(1, probs[0].size))
     for lo in range(0, n, per_block):
         block = probs[lo : lo + per_block]
@@ -160,9 +162,8 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
         if bad.any():
             first = int(np.argmax(bad))
             _check_distribution(block[first], f"soft labels of client {lo + first}")
-        np.maximum(block, PROB_FLOOR).sum(axis=-1, out=row_sums[lo : lo + per_block])
 
-    matrix = _cross_term(probs, row_sums)
+    matrix = _cross_term(probs)
     self_term = np.diagonal(matrix).copy()
     np.subtract(self_term[:, None], matrix, out=matrix)
     matrix /= samples
@@ -171,52 +172,66 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     return matrix
 
 
-def _cross_term(probs: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
+def _cross_term(probs: np.ndarray) -> np.ndarray:
     """`P @ log(P).T` for the floored rows P of an (n, samples, classes) stack.
 
-    P is `probs` clipped at `PROB_FLOOR` and divided by `row_sums`, flattened
-    to (n, samples * classes); it is built one `SIM_DEPTH` column chunk at a
-    time and never held whole. One GEMM over all of P is split across threads
-    by OpenBLAS, and its bits then depend on the thread count. Here it is a
-    sum, over the column chunks in order, of one-thread `SIM_TILE` x
-    `SIM_TILE` tiles, taken one block row of tiles at a time. Rows are
-    zero-padded to whole tiles and the last chunk to full depth; the padding
-    adds exact zeros. Each block row's products for the n real columns are
-    added straight into the (n, n) result.
+    P is `probs` clipped at `PROB_FLOOR` and divided by each probe row's
+    floored sum, flattened to (n, samples * classes). One GEMM over all of P
+    is split across threads by OpenBLAS, and its bits then depend on the
+    thread count. Here it is a sum, over the `SIM_DEPTH` column chunks in
+    order, of one-thread `SIM_TILE` x `SIM_TILE` tiles, taken one block row
+    of tiles at a time. Rows are zero-padded to whole tiles and the last chunk
+    to full depth; the padding adds exact zeros. Each block row's products for
+    the n real columns are added straight into the (n, n) result.
+
+    P is never held whole, nor a whole chunk of it. Per chunk, its rows are
+    built one group of `CHECK_BLOCK_VALUES // SIM_DEPTH` clients (a whole
+    number of tiles) at a time, by flooring and renormalising just the probe
+    rows the chunk spans: once per group to fill one (pad, SIM_DEPTH) chunk
+    of log P for every client, then again per group as the left operand of
+    its block rows. With a single group, its rows are still in place.
     """
-    n, _, classes = probs.shape
-    flat = probs.reshape(n, -1)
-    width = flat.shape[1]
+    n, samples, classes = probs.shape
+    width = samples * classes
     nb = -(-n // SIM_TILE)
     pad = nb * SIM_TILE
-    left = np.zeros((pad, SIM_DEPTH))
-    right = np.zeros((pad, SIM_DEPTH))
-    divisor_buf = np.empty(n * SIM_DEPTH)
-    left_tiles = left.reshape(nb, SIM_TILE, SIM_DEPTH)
-    right_tiles = right.reshape(nb, SIM_TILE, SIM_DEPTH).transpose(0, 2, 1)
-    # Block row a: left tile a times right tile b lands in columns b of `prod`,
+    group = CHECK_BLOCK_VALUES // SIM_DEPTH
+    rows = np.zeros((group, SIM_DEPTH))
+    logs = np.zeros((pad, SIM_DEPTH))
+    row_tiles = rows.reshape(group // SIM_TILE, SIM_TILE, SIM_DEPTH)
+    log_tiles = logs.reshape(nb, SIM_TILE, SIM_DEPTH).transpose(0, 2, 1)
+    # Block row a: row tile a times log tile b lands in columns b of `prod`,
     # laid out like rows a * SIM_TILE onward of the padded product.
     prod = np.empty((SIM_TILE, pad))
     prod_tiles = prod.reshape(SIM_TILE, nb, SIM_TILE).transpose(1, 0, 2)
     acc = np.zeros((n, n))
+
+    def floor_group(top: int, lo: int, d: int) -> int:
+        """Floored rows top onward of columns lo:lo + d into `rows`; returns the row count."""
+        m = min(group, n - top)
+        first = lo // classes
+        # The whole probe rows the chunk spans, floored and renormalised.
+        spanned = _floor_rows(probs[top : top + m, first : (lo + d - 1) // classes + 1])
+        start = lo - first * classes
+        rows[:m, :d] = spanned.reshape(m, -1)[:, start : start + d]
+        return m
+
     for lo in range(0, width, SIM_DEPTH):
         d = min(SIM_DEPTH, width - lo)
         if d < SIM_DEPTH:
-            left[:, d:] = 0.0
-            right[:, d:] = 0.0
-        chunk = left[:n, :d]
-        np.maximum(flat[:, lo : lo + d], PROB_FLOOR, out=chunk)
-        # Column c of the flattened row is probe row c // classes. `take`
-        # copies a non-contiguous or bounds-checked `out`; this one is neither.
-        divisors = divisor_buf[: n * d].reshape(n, d)
-        np.take(row_sums, np.arange(lo, lo + d) // classes, axis=1, out=divisors, mode="clip")
-        chunk /= divisors
-        # Padding rows stay 0.0 in both buffers, never log(0).
-        np.log(chunk, out=right[:n, :d])
-        for a in range(nb):
-            np.matmul(left_tiles[a], right_tiles, out=prod_tiles)
-            top = a * SIM_TILE
-            acc[top : top + SIM_TILE] += prod[: n - top, :n]
+            rows[:, d:] = 0.0
+            logs[:, d:] = 0.0
+        for top in range(0, n, group):
+            m = floor_group(top, lo, d)
+            # Padding rows stay 0.0, never log(0).
+            np.log(rows[:m, :d], out=logs[top : top + m, :d])
+        for top in range(0, n, group):
+            m = floor_group(top, lo, d) if n > group else n
+            rows[m:] = 0.0  # the last group's padding rows add exact zeros
+            for t in range(-(-m // SIM_TILE)):
+                np.matmul(row_tiles[t], log_tiles, out=prod_tiles)
+                row = top + t * SIM_TILE
+                acc[row : row + SIM_TILE] += prod[: n - row, :n]
     return acc
 
 

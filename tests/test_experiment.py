@@ -469,6 +469,16 @@ def test_cli_compare_rejects_header_only_metrics(tmp_path, capsys):
     assert str(bad / "metrics.csv") in err and "no rounds" in err
 
 
+@pytest.mark.parametrize("row", ["1,0.4", "1,0.4,1.0,0.1,10,7"], ids=["short", "long"])
+def test_cli_compare_names_a_metrics_row_without_one_field_per_column(tmp_path, capsys, row):
+    good = run_experiment(_tiny_config(tmp_path, name="good"))
+    bad = run_experiment(_tiny_config(tmp_path, name="bad"))
+    header = (bad / "metrics.csv").read_text().splitlines()[0]
+    (bad / "metrics.csv").write_text(f"{header}\n{row}\n")
+    err = _compare_error(good, bad, capsys)
+    assert f"{bad / 'metrics.csv'} line 2 " in err
+
+
 def test_cli_compare_rejects_summary_that_is_not_an_object(tmp_path, capsys):
     good = run_experiment(_tiny_config(tmp_path, name="good"))
     bad = run_experiment(_tiny_config(tmp_path, name="bad"))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,7 @@ def _einsum_similarity(soft):
         (37, 13, 7),  # n and samples * classes off the tile and chunk sizes
         (2 * SIM_TILE, SIM_DEPTH // 4, 4),  # whole tiles, one whole chunk
         (SIM_TILE + 1, 3 * SIM_DEPTH // 10 + 1, 10),  # several chunks, short last one
+        (3, 2, SIM_DEPTH + 44),  # probe rows wider than a chunk
     ],
 )
 def test_similarity_agrees_with_einsum_reference(n, samples, classes):
@@ -191,6 +193,50 @@ def test_similarity_bytes_pinned_at_the_bench_prepass_shape():
     assert hashlib.sha256(got).hexdigest() == _BENCH_SHAPE_SHA
     assert hashlib.sha256(stack.tobytes()).hexdigest() == before
     assert build_similarity_matrix(list(stack)).tobytes() == got
+
+
+# sha256 of the matrix at battery's pre-pass shape (a short 16-column last
+# chunk, chunks that cross probe rows, a partial tile) and at a shape off every
+# tile and chunk size, taken while the build still held a whole floored chunk.
+_MORE_SHAPE_SHAS = {
+    (100, 1000, 10): "f402ad4312329df6c16e5ecd233827198f5fd86af8ea1529f5579e5648c8c580",
+    (37, 13, 7): "39a313c27cc99f75a6681bc7551cd6ac8852aa06e3c4316ca2ec34e176b70f2a",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MORE_SHAPE_SHAS), ids=str)
+def test_similarity_bytes_pinned_at_battery_and_off_tile_shapes(shape):
+    n, samples, classes = shape
+    stack = np.random.default_rng(list(shape)).dirichlet(np.full(classes, 0.3), size=(n, samples))
+    got = build_similarity_matrix(stack).tobytes()
+    assert hashlib.sha256(got).hexdigest() == _MORE_SHAPE_SHAS[shape]
+
+
+def test_similarity_rejects_an_empty_probe_axis():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one probe sample"):
+            build_similarity_matrix(np.empty((3, 0, 4)))
+
+
+def test_similarity_scratch_is_one_log_chunk_and_one_row_group():
+    n, samples, classes = 512, 100, 20
+    stack = np.random.default_rng(15).dirichlet(np.ones(classes), size=(n, samples))
+    pad = -(-n // SIM_TILE) * SIM_TILE
+    group = CHECK_BLOCK_VALUES // SIM_DEPTH
+    assert group % SIM_TILE == 0
+    bound = 8 * (
+        pad * SIM_DEPTH  # log P of one column chunk, every client
+        + 2 * group * SIM_DEPTH  # one row group's floored operand and its divisors
+        + SIM_TILE * pad  # one block row of tile products
+    ) + 2**18
+    tracemalloc.start()
+    try:
+        build_similarity_matrix(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * n * n < bound
 
 
 def test_similarity_memory_holds_no_copy_of_the_stack():
