@@ -51,7 +51,7 @@ from .metrics import (
     rounds_to_target,
     write_metrics_csv,
 )
-from .mlp import ModelSpec, forward, init_params
+from .mlp import ModelParams, ModelSpec, forward, forward_logits, init_params, softmax
 from .sampling import (
     ClusterAssignment,
     SamplingPlan,
@@ -285,6 +285,45 @@ class PreprocessResult:
     updates: list[LocalUpdate | None]
 
 
+class ProbePredictions:
+    """Each client's `forward` probabilities on the probe set, computed when read.
+
+    The sequence `preprocess` passes to `build_similarity_matrix` instead of
+    a (clients, probe rows, classes) stack: item i is client i's probe
+    probabilities, a slice is the sequence of those clients, and `fill_rows`
+    writes some probe rows of several clients, with the same bytes. The
+    predictions run under the same np.errstate as training: a model with
+    huge weights gives non-finite soft labels, which the build reports, and
+    no numpy warnings.
+    """
+
+    def __init__(self, params: list[ModelParams], features: np.ndarray):
+        self.params = params
+        self.features = features
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ProbePredictions(self.params[i], self.features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward(self.params[i], self.features)[0]
+
+    def fill_rows(self, top: int, lo: int, out: np.ndarray) -> None:
+        """Probe rows lo onward of clients top onward, into the (clients, rows, classes) `out`.
+
+        Each client's logits are computed over the whole probe set, by the
+        GEMMs `forward` runs, since OpenBLAS's bits for a row can depend on
+        the row count. The softmax, row-wise, then runs once over `out`.
+        """
+        hi = lo + out.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for params, rows in zip(self.params[top:], out):
+                rows[...] = forward_logits(params, self.features)[lo:hi]
+            softmax(out, out=out)
+
+
 def preprocess(
     clients: list[ClientState],
     dataset: Dataset,
@@ -300,24 +339,23 @@ def preprocess(
     Every client trains a copy of the initial global model, predicts soft
     labels on the shared probe set, and "uploads" them; the server builds the
     KL similarity matrix (`build_similarity_matrix`: per-sample KL averaged
-    over the probe set) and clusters its rows. Client training here doubles
-    as the clients' round-1 local training (same seeds, same schedule), so
-    `updates` holds one entry per client, in client-id order, ready for
-    `run_round`. A client dropped for divergence has `None` there, as in any
-    round, and keeps the global model it was sent: its soft labels are that
-    model's, so it is still clustered. The one-time probe download and
-    soft-label upload go on `ledger` if given.
+    over the probe set) and clusters its rows. The soft labels are never
+    held as one stack: the build reads them through `ProbePredictions`, one
+    group of probe rows for every client at a time, so the probe forward
+    runs inside it. Client training here doubles as the clients' round-1
+    local training (same seeds, same schedule), so `updates` holds one entry
+    per client, in client-id order, ready for `run_round`. A client dropped
+    for divergence has `None` there, as in any round, and keeps the global
+    model it was sent: its soft labels are that model's, so it is still
+    clustered. The one-time probe download and soft-label upload go on
+    `ledger` if given.
     """
     if len(public) < 1:
         raise ValueError("public dataset is empty")
 
     updates = train_clients(clients, dataset, server.global_params, cfg, 1, server.server_control)
-    # One (clients, probe rows, classes) stack of soft labels, gone before k-means.
-    soft = np.empty((len(updates), len(public), server.global_params.spec.num_classes))
-    for i, u in enumerate(updates):
-        soft[i] = forward(server.global_params if u is None else u.new_params, public.features)[0]
-    matrix = build_similarity_matrix(soft)
-    del soft
+    models = [server.global_params if u is None else u.new_params for u in updates]
+    matrix = build_similarity_matrix(ProbePredictions(models, public.features))
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
 

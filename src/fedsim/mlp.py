@@ -148,10 +148,16 @@ def _activations(layers, x: np.ndarray):
     return acts, logits
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax over the last axis, into `out` if given (`out` may be `logits`).
+
+    Every step works row by row, so a row's bytes do not depend on the rows
+    or batches around it.
+    """
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -168,6 +174,12 @@ def forward(params: ModelParams, batch) -> tuple[np.ndarray, np.ndarray]:
     x = _check_batch(params, batch)
     acts, logits = _activations(unpack_params(params.values, params.spec), x)
     return softmax(logits), acts[-1]
+
+
+def forward_logits(params: ModelParams, batch) -> np.ndarray:
+    """The output layer's values before the softmax: `forward`'s probabilities are their `softmax`."""
+    x = _check_batch(params, batch)
+    return _activations(unpack_params(params.values, params.spec), x)[1]
 
 
 def layer_activations(params: ModelParams, batch) -> list[np.ndarray]:

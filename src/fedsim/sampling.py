@@ -35,9 +35,19 @@ SIM_DEPTH = 256
 # Soft-label values per block of whole clients that `build_similarity_matrix`
 # checks at once (at least one client). At 1000 x 200 x 20 this took 17 ms
 # against 45 ms client by client; 2**16 values were no faster and held 0.25 MB
-# more. `_cross_term` floors CHECK_BLOCK_VALUES // SIM_DEPTH = 128 clients, four
-# tiles, of a column chunk at a time.
+# more.
 CHECK_BLOCK_VALUES = 1 << 15
+# Clients per set, four tiles: `_cross_term` floors a column chunk one set at
+# a time, and a streamed build gathers its probe rows into one buffer per set.
+# At 1000 x 200 x 20, one 10 MB buffer for all clients raised glibc's mmap
+# threshold when it was freed, and 18 MB of freed heap then stayed resident to
+# the end of the run; 1.3 MB set buffers leave the heap to be trimmed.
+CLIENT_SET = CHECK_BLOCK_VALUES // SIM_DEPTH
+# Most probe-row groups a streamed similarity build takes (`_probe_group_rows`).
+# Each group recomputes every client's probe logits: at 1000 x 200 x 20 the
+# probe predictions took about 170 ms in 4 groups against 85 ms at once, and
+# the run's peak RSS fell from 90.8 to 70.1 MB.
+MAX_PROBE_GROUPS = 4
 # Values per `save_matrix_csv` block (whole rows): 16 rows at n = 1000, with a
 # 3 MB gather index. At n = 1000, 2**16 values were slower and 2**12 to 2**15
 # about as fast.
@@ -127,43 +137,36 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     """n x n matrix of pairwise KL divergences between clients' soft labels.
 
     `soft_labels` is an (n, samples, classes) array or a sequence of n
-    (samples, classes) arrays. A C-contiguous float64 array is read in place,
-    never written; anything else is converted or stacked once. The
-    (i, j) entry is the mean over probe samples of KL(row of client i || row
-    of client j): (C[i, i] - C[i, j]) / samples, clipped at 0, for
-    C = P @ log(P).T over the floored rows P flattened to (n, samples * classes).
-    C's bytes do not depend on the BLAS thread count, and taking the self term
-    off its diagonal gives identical clients exactly 0. The input is checked
-    one block of whole clients, at most `CHECK_BLOCK_VALUES` values, at a
-    time; the first bad client is named in `_check_distribution`'s words.
+    (samples, classes) arrays. The (i, j) entry is the mean over probe samples
+    of KL(row of client i || row of client j): (C[i, i] - C[i, j]) / samples,
+    clipped at 0, for C = P @ log(P).T over the floored rows P flattened to
+    (n, samples * classes). C's bytes do not depend on the BLAS thread count,
+    and taking the self term off its diagonal gives identical clients
+    exactly 0.
 
-    Memory beside the input, in float64s: the (n, n) accumulator, which
-    becomes the result, and `_cross_term`'s buffers: one (pad, SIM_DEPTH)
-    chunk of log P, pad = n rounded up to a whole `SIM_TILE`; one row group's
-    floored operand and the floored probe rows it is cut from; and a
-    (SIM_TILE, pad) block row of tile products. At 1000 x 200 x 20 that is an
-    8 MB result and 2.9 MiB of buffers beside the 32 MB input.
+    A float64 array is read in place, as one group of probe rows, and never
+    written; an array of another dtype is converted once. A sequence is read
+    one group of `_probe_group_rows` probe rows at a time, for every client,
+    into one reused buffer per `CLIENT_SET` clients. If it has a
+    `fill_rows(top, lo, out)` method, as `experiment.ProbePredictions` does,
+    that writes probe rows lo onward of clients top onward into `out`;
+    otherwise they are copied from the items. Groups end on whole `SIM_DEPTH`
+    column chunks, so the chunks, tiles and additions, and so the bytes, are
+    those of the whole array.
+
+    Each group is checked one block of whole clients, at most
+    `CHECK_BLOCK_VALUES` values, at a time. After a bad client no group is
+    multiplied, but later groups are still checked for a lower-numbered one,
+    and the lowest is named in `_check_distribution`'s words: the same client
+    and message as for the whole array.
+
+    Memory beside the input, in float64s: a sequence's group buffers, the
+    (n, n) accumulator, which becomes the result, and `_cross_term`'s
+    buffers. At 1000 x 200 x 20 that is 10 MB of buffers for 64 probe rows,
+    an 8 MB result and 2.9 MiB, against a 32 MB array.
     """
-    probs = np.asarray(soft_labels, dtype=np.float64)
-    if probs.ndim != 3:
-        raise ValueError("all soft-label sets must share the same (samples, classes) shape")
-    n, samples = probs.shape[:2]
-    if n == 0:
-        raise ValueError("need at least one soft-label set")
-    if samples == 0:
-        raise ValueError("need at least one probe sample per soft-label set")
-    per_block = max(1, CHECK_BLOCK_VALUES // max(1, probs[0].size))
-    for lo in range(0, n, per_block):
-        block = probs[lo : lo + per_block]
-        # Flags exactly the clients `_check_distribution` rejects: NaN and
-        # negative entries fail `>= 0`, and +inf makes its row sum inf or NaN.
-        bad = ~(block >= 0).all(axis=(1, 2))
-        bad |= ~(np.abs(block.sum(axis=-1) - 1.0) <= 1e-9).all(axis=-1)
-        if bad.any():
-            first = int(np.argmax(bad))
-            _check_distribution(block[first], f"soft labels of client {lo + first}")
-
-    matrix = _cross_term(probs)
+    n, samples, classes, groups = _probe_groups(soft_labels)
+    matrix = _cross_term(_checked(groups, soft_labels, n), n, classes)
     self_term = np.diagonal(matrix).copy()
     np.subtract(self_term[:, None], matrix, out=matrix)
     matrix /= samples
@@ -172,33 +175,118 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     return matrix
 
 
-def _cross_term(probs: np.ndarray) -> np.ndarray:
-    """`P @ log(P).T` for the floored rows P of an (n, samples, classes) stack.
+_RAGGED = "all soft-label sets must share the same (samples, classes) shape"
 
-    P is `probs` clipped at `PROB_FLOOR` and divided by each probe row's
-    floored sum, flattened to (n, samples * classes). One GEMM over all of P
+
+def _probe_group_rows(n: int, samples: int, classes: int) -> int:
+    """Probe rows per group of a streamed build.
+
+    A whole number of units of u = SIM_DEPTH / gcd(SIM_DEPTH, classes) rows,
+    whose u * classes columns are whole chunks: the most whose soft labels
+    fit in n * n values, at least one unit, and enough that the probe set
+    takes at most `MAX_PROBE_GROUPS` groups. At 1000 x 200 x 20 that is 64
+    rows in 4 groups; at 10,000 clients all 200 rows are one group.
+    """
+    unit = SIM_DEPTH // math.gcd(SIM_DEPTH, classes)
+    rows = max(unit, n // classes // unit * unit, -(-samples // (MAX_PROBE_GROUPS * unit)) * unit)
+    return min(rows, samples)
+
+
+def _probe_groups(soft_labels):
+    """(n, samples, classes) and an iterator of probe-row groups, each a list of client sets."""
+    if isinstance(soft_labels, np.ndarray):
+        probs = np.asarray(soft_labels, dtype=np.float64)
+        shape = probs.shape
+    else:
+        probs = None
+        shape = (len(soft_labels), *np.shape(soft_labels[0])) if len(soft_labels) else (0, 0, 0)
+    if len(shape) != 3:
+        raise ValueError(_RAGGED)
+    n, samples, classes = shape
+    if n == 0:
+        raise ValueError("need at least one soft-label set")
+    if samples == 0:
+        raise ValueError("need at least one probe sample per soft-label set")
+    if probs is None:
+        groups = _gathered(soft_labels, n, samples, classes)
+    else:
+        groups = iter([[probs[top : top + CLIENT_SET] for top in range(0, n, CLIENT_SET)]])
+    return n, samples, classes, groups
+
+
+def _gathered(soft_labels, n: int, samples: int, classes: int):
+    """A sequence's probe-row groups, gathered into one reused buffer per client set."""
+    fill = getattr(soft_labels, "fill_rows", None)
+    if fill is None:
+
+        def fill(top: int, lo: int, out: np.ndarray) -> None:
+            for i, rows in enumerate(out, top):
+                client = np.asarray(soft_labels[i], dtype=np.float64)
+                if client.shape != (samples, classes):
+                    raise ValueError(_RAGGED)
+                rows[...] = client[lo : lo + len(rows)]
+
+    step = _probe_group_rows(n, samples, classes)
+    sets = [np.empty((min(CLIENT_SET, n - top), step, classes)) for top in range(0, n, CLIENT_SET)]
+    for lo in range(0, samples, step):
+        group = [buf[:, : min(step, samples - lo)] for buf in sets]
+        for top, block in zip(range(0, n, CLIENT_SET), group):
+            fill(top, lo, block)
+        yield group
+
+
+def _first_bad_client(sets: list[np.ndarray], end: int) -> int:
+    """The lowest client below `end` that `_check_distribution` rejects, else `end`."""
+    for top, block in zip(range(0, end, CLIENT_SET), sets):
+        per_block = max(1, CHECK_BLOCK_VALUES // block[0].size)
+        for lo in range(0, min(len(block), end - top), per_block):
+            part = block[lo : min(lo + per_block, end - top)]
+            # NaN and negative entries fail `>= 0`, and +inf makes its row sum inf or NaN.
+            bad = ~(part >= 0).all(axis=(1, 2))
+            bad |= ~(np.abs(part.sum(axis=-1) - 1.0) <= 1e-9).all(axis=-1)
+            if bad.any():
+                return top + lo + int(np.argmax(bad))
+    return end
+
+
+def _checked(groups, soft_labels, n: int):
+    """The probe-row groups up to the first with a bad client; then the error for the lowest one."""
+    first = n
+    for sets in groups:
+        first = _first_bad_client(sets, first)
+        if first == n:
+            yield sets
+    if first < n:
+        client = np.asarray(soft_labels[first], dtype=np.float64)
+        _check_distribution(client, f"soft labels of client {first}")
+
+
+def _cross_term(groups, n: int, classes: int) -> np.ndarray:
+    """`P @ log(P).T` for the floored rows P of the soft labels in probe-row groups.
+
+    Each group is a list of (clients, rows, classes) arrays, one per
+    `CLIENT_SET` clients. P is the soft labels clipped at `PROB_FLOOR` and
+    divided by each probe row's floored sum, flattened to
+    (n, samples * classes), the groups side by side. One GEMM over all of P
     is split across threads by OpenBLAS, and its bits then depend on the
     thread count. Here it is a sum, over the `SIM_DEPTH` column chunks in
     order, of one-thread `SIM_TILE` x `SIM_TILE` tiles, taken one block row
-    of tiles at a time. Rows are zero-padded to whole tiles and the last chunk
-    to full depth; the padding adds exact zeros. Each block row's products for
-    the n real columns are added straight into the (n, n) result.
+    of tiles at a time; every group but the last spans whole chunks. Rows
+    are zero-padded to whole tiles and the last chunk to full depth; the
+    padding adds exact zeros. Each block row's products for the n real
+    columns are added straight into the (n, n) result.
 
     P is never held whole, nor a whole chunk of it. Per chunk, its rows are
-    built one group of `CHECK_BLOCK_VALUES // SIM_DEPTH` clients (a whole
-    number of tiles) at a time, by flooring and renormalising just the probe
-    rows the chunk spans: once per group to fill one (pad, SIM_DEPTH) chunk
-    of log P for every client, then again per group as the left operand of
-    its block rows. With a single group, its rows are still in place.
+    built one client set at a time, by flooring and renormalising just the
+    probe rows the chunk spans: once per set to fill one (pad, SIM_DEPTH)
+    chunk of log P for every client, then again per set as the left operand
+    of its block rows. With a single set, its rows are still in place.
     """
-    n, samples, classes = probs.shape
-    width = samples * classes
     nb = -(-n // SIM_TILE)
     pad = nb * SIM_TILE
-    group = CHECK_BLOCK_VALUES // SIM_DEPTH
-    rows = np.zeros((group, SIM_DEPTH))
+    rows = np.zeros((CLIENT_SET, SIM_DEPTH))
     logs = np.zeros((pad, SIM_DEPTH))
-    row_tiles = rows.reshape(group // SIM_TILE, SIM_TILE, SIM_DEPTH)
+    row_tiles = rows.reshape(CLIENT_SET // SIM_TILE, SIM_TILE, SIM_DEPTH)
     log_tiles = logs.reshape(nb, SIM_TILE, SIM_DEPTH).transpose(0, 2, 1)
     # Block row a: row tile a times log tile b lands in columns b of `prod`,
     # laid out like rows a * SIM_TILE onward of the padded product.
@@ -206,32 +294,34 @@ def _cross_term(probs: np.ndarray) -> np.ndarray:
     prod_tiles = prod.reshape(SIM_TILE, nb, SIM_TILE).transpose(1, 0, 2)
     acc = np.zeros((n, n))
 
-    def floor_group(top: int, lo: int, d: int) -> int:
-        """Floored rows top onward of columns lo:lo + d into `rows`; returns the row count."""
-        m = min(group, n - top)
+    def floor_set(probs: np.ndarray, lo: int, d: int) -> int:
+        """A client set's floored columns lo:lo + d into `rows`; returns its client count."""
+        m = len(probs)
         first = lo // classes
         # The whole probe rows the chunk spans, floored and renormalised.
-        spanned = _floor_rows(probs[top : top + m, first : (lo + d - 1) // classes + 1])
+        spanned = _floor_rows(probs[:, first : (lo + d - 1) // classes + 1])
         start = lo - first * classes
         rows[:m, :d] = spanned.reshape(m, -1)[:, start : start + d]
         return m
 
-    for lo in range(0, width, SIM_DEPTH):
-        d = min(SIM_DEPTH, width - lo)
-        if d < SIM_DEPTH:
-            rows[:, d:] = 0.0
-            logs[:, d:] = 0.0
-        for top in range(0, n, group):
-            m = floor_group(top, lo, d)
-            # Padding rows stay 0.0, never log(0).
-            np.log(rows[:m, :d], out=logs[top : top + m, :d])
-        for top in range(0, n, group):
-            m = floor_group(top, lo, d) if n > group else n
-            rows[m:] = 0.0  # the last group's padding rows add exact zeros
-            for t in range(-(-m // SIM_TILE)):
-                np.matmul(row_tiles[t], log_tiles, out=prod_tiles)
-                row = top + t * SIM_TILE
-                acc[row : row + SIM_TILE] += prod[: n - row, :n]
+    for sets in groups:
+        width = sets[0].shape[1] * classes
+        for lo in range(0, width, SIM_DEPTH):
+            d = min(SIM_DEPTH, width - lo)
+            if d < SIM_DEPTH:
+                rows[:, d:] = 0.0
+                logs[:, d:] = 0.0
+            for top, probs in zip(range(0, n, CLIENT_SET), sets):
+                m = floor_set(probs, lo, d)
+                # Padding rows stay 0.0, never log(0).
+                np.log(rows[:m, :d], out=logs[top : top + m, :d])
+            for top, probs in zip(range(0, n, CLIENT_SET), sets):
+                m = floor_set(probs, lo, d) if n > CLIENT_SET else n
+                rows[m:] = 0.0  # the last set's padding rows add exact zeros
+                for t in range(-(-m // SIM_TILE)):
+                    np.matmul(row_tiles[t], log_tiles, out=prod_tiles)
+                    row = top + t * SIM_TILE
+                    acc[row : row + SIM_TILE] += prod[: n - row, :n]
     return acc
 
 

@@ -1,7 +1,10 @@
-"""Every benchmark workload's configs pass validation and build their data.
+"""Every benchmark workload's configs pass validation and build their data,
+and a traced pre-pass still feeds the benchmark's similarity metrics.
 
-`bench/workloads.py` is loaded read-only from its file, so a config the
-validator rejects shows up here rather than as a refused benchmark run.
+`bench/workloads.py`, `bench/tracer.py` and `bench/worker.py` are loaded
+read-only from their files, so a config the validator rejects, or soft labels
+the tracer or the scale sweep cannot read, show up here rather than as a
+refused benchmark run.
 """
 
 import importlib.util
@@ -9,19 +12,20 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedsim import ExperimentConfig
+from fedsim import ExperimentConfig, build_similarity_matrix, run_experiment
 from fedsim.experiment import _build_data, _build_partition
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def _load_bench(name: str):
+    """`bench/<name>.py`, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # Its dataclass looks its module up in sys.modules while being defined.
+    # A dataclass looks its module up in sys.modules while being defined.
     sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
@@ -30,7 +34,7 @@ def _load_workloads():
     return module
 
 
-WORKLOADS = _load_workloads().WORKLOADS
+WORKLOADS = _load_bench("workloads").WORKLOADS
 
 
 def test_every_declared_workload_is_defined():
@@ -48,3 +52,31 @@ def test_workload_configs_validate_and_build(workload, seed, tmp_path):
         train, _ = _build_data(cfg)
         assert len(_build_partition(cfg, train).assignment) == cfg.n_clients
     assert list(tmp_path.iterdir()) == []
+
+
+def test_traced_prepass_feeds_the_similarity_metrics_and_the_sweep(tmp_path, monkeypatch):
+    tracer_mod = _load_bench("tracer")
+    # bench/worker.py imports its siblings by their plain names.
+    monkeypatch.setitem(sys.modules, "tracer", tracer_mod)
+    monkeypatch.setitem(sys.modules, "workloads", _load_bench("workloads"))
+    worker = _load_bench("worker")
+    cfg = ExperimentConfig(
+        seed=3, n_clients=6, rounds=2, num_classes=3, dim=4, per_class=20, test_per_class=10,
+        partition="dirichlet", beta=0.5, hidden_sizes=[5], sampler="stratified",
+        sample_ratio=0.5, epochs=1, batch_size=8, lr=0.05, public_count=300,
+        output_dir=tmp_path.as_posix(), name="traced",
+    )
+    with tracer_mod.Tracer() as tracer:
+        out = run_experiment(cfg)
+    layers = tracer_mod.layer_metrics(tracer, (4, 5, 3))
+    assert layers["sampling.similarity.s"] > 0
+    assert layers["sampling.similarity.gflops"] > 0
+    # The scale sweep reruns the build on what `preprocess` passed it.
+    (soft,) = [args[0] for args in tracer.similarity_args]
+    assert len(soft) == cfg.n_clients and np.shape(soft[0]) == (cfg.public_count, 3)
+    saved = np.loadtxt(out / "similarity_matrix.csv", delimiter=",")
+    assert np.array_equal(build_similarity_matrix(soft[: len(soft)]), saved)
+    swept = worker.sweep(soft, [cfg.seed, 6])
+    sizes = ("n100", "n400", "nall")
+    assert sorted(swept) == sorted(f"sampling.{p}.s.{n}" for p in ("similarity", "kmeans") for n in sizes)
+    assert all(s > 0 for s in swept.values())

@@ -1,10 +1,12 @@
 import gc
+import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -17,12 +19,15 @@ import fedsim.metrics as metrics_mod
 from fedsim import (
     ConfigError,
     ExperimentConfig,
+    ModelParams,
     ModelSpec,
     SamplingPlan,
     ServerState,
     TrainConfig,
     aggregate_fedavg,
+    build_similarity_matrix,
     compare_runs,
+    forward,
     init_params,
     make_clients,
     partition_dirichlet,
@@ -36,6 +41,7 @@ from fedsim import (
 )
 from fedsim.cli import main as cli_main
 from fedsim.metrics import read_metrics_csv
+from fedsim.sampling import CLIENT_SET, SIM_DEPTH, SIM_TILE
 
 
 def _tiny_config(tmp_path, **kw):
@@ -565,6 +571,23 @@ def test_cli_reports_nan_soft_labels_as_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_reports_overflowing_probe_predictions_without_numpy_warnings(tmp_path, capsys):
+    # No np.errstate here: pytest's error::RuntimeWarning filter turns any
+    # numpy warning from the probe forward into an exception.
+    raw = _tiny_config(
+        tmp_path, n_clients=8, hidden_sizes=[8], batch_size=4, decay=1.0,
+        sampler="stratified", lr=1e50,
+    ).to_dict()
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: soft labels of client 1 has non-finite entries"]
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_overflowing_run_completes_under_the_callers_errstate(tmp_path):
     # Rounds are scored on a worker thread. It must run under the caller's
     # np.errstate, or pytest's error::RuntimeWarning filter stops the run.
@@ -653,3 +676,81 @@ def test_stratified_run_does_not_import_numpy_ma(tmp_path):
 def test_cli_compare_single_dir_fails(tmp_path, capsys):
     rc = cli_main(["compare", "--target", "0.5", str(tmp_path)])
     assert rc == 1
+
+
+# sha256 of the pre-pass matrix at 1000 clients x 200 probe rows x 20 classes,
+# taken when `preprocess` still stacked every client's probe predictions.
+_PREPASS_SHA = "b590943f0fbe0030ea83ffe6d0f7de137fc1279261e7190114c32adb9333c51e"
+
+
+def test_prepass_matrix_bytes_pinned_at_the_cluster_scale_shape():
+    # cluster-scale's shape: 1000 clients in 10 label-pair groups of 100, a
+    # (16, 32, 20) model and 200 probe rows, so four groups of probe rows.
+    ds = synth_blobs(20, 16, 100, 1.0, [1000, 1])
+    groups = [(100, [2 * g, 2 * g + 1]) for g in range(10)]
+    clients = make_clients(partition_manual(ds, groups))
+    server = ServerState(init_params(ModelSpec((16, 32, 20)), [1000, 2]))
+    cfg = TrainConfig(epochs=1, batch_size=8, lr=1.0, master_seed=1000)
+    pre = preprocess(clients, ds, synth_public(16, 200, [1000, 3]), server, cfg, cluster_k=10)
+    assert pre.matrix.shape == (1000, 1000)
+    assert hashlib.sha256(pre.matrix.tobytes()).hexdigest() == _PREPASS_SHA
+
+
+@pytest.mark.parametrize("hidden, classes", [([], 10), ([12], 20), ([12, 5], 3)])
+def test_probe_predictions_give_the_stacked_forward_bytes(hidden, classes):
+    # 520 probe rows are several groups at every class count here.
+    rng = np.random.default_rng(len(hidden) * 100 + classes)
+    spec = ModelSpec((6, *hidden, classes))
+    models = [init_params(spec, [7, i]) for i in range(37)]
+    models = [ModelParams(m.values * rng.uniform(1, 4), spec) for m in models]
+    probe = rng.normal(size=(520, 6))
+    soft = experiment_mod.ProbePredictions(models, probe)
+    stack = np.stack([forward(m, probe)[0] for m in models])
+    assert len(soft) == 37 and np.array_equal(soft[4], stack[4])
+    assert len(soft[30:]) == 7 and np.array_equal(soft[30:][0], stack[30])
+    for lo, hi in ((0, 64), (128, 256), (512, 520)):
+        out = np.empty((6, hi - lo, classes))
+        soft.fill_rows(5, lo, out)
+        assert np.array_equal(out, stack[5:11, lo:hi])
+    for clients in (slice(None), slice(9)):
+        got = build_similarity_matrix(soft[clients])
+        assert got.tobytes() == build_similarity_matrix(stack[clients]).tobytes()
+
+
+def test_prepass_build_holds_one_group_of_probe_rows(monkeypatch):
+    n, samples, classes = 64, 1000, 10
+    ds = synth_blobs(classes, 8, 40, 1.0, seed=4)
+    clients = make_clients(partition_dirichlet(ds, n, 1.0, 5))
+    server = ServerState(init_params(ModelSpec((8, 16, classes)), 6))
+    seen = {}
+    train, build = experiment_mod.train_clients, experiment_mod.build_similarity_matrix
+
+    def trained(*args, **kwargs):
+        updates = train(*args, **kwargs)
+        tracemalloc.reset_peak()
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        return updates
+
+    def built(soft):
+        matrix = build(soft)
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return matrix
+
+    monkeypatch.setattr(experiment_mod, "train_clients", trained)
+    monkeypatch.setattr(experiment_mod, "build_similarity_matrix", built)
+    rows = 256  # widened so that 1000 probe rows take four groups
+    pad = -(-n // SIM_TILE) * SIM_TILE
+    bound = 8 * (
+        n * rows * classes  # one group of probe rows, every client
+        + n * n  # the result
+        + pad * SIM_DEPTH  # log P of one column chunk
+        + 2 * CLIENT_SET * SIM_DEPTH  # one client set's floored operand and its divisors
+        + SIM_TILE * pad  # one block row of tile products
+    ) + 2**19
+    assert 8 * n * samples * classes > bound  # every client's probe predictions at once break it
+    tracemalloc.start()
+    try:
+        preprocess(clients, ds, synth_public(8, samples, 7), server, TrainConfig(batch_size=8))
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] - seen["start"] < bound

@@ -29,12 +29,14 @@ from fedsim import (
 from fedsim.mlp import PROB_FLOOR
 from fedsim.sampling import (
     CHECK_BLOCK_VALUES,
+    CLIENT_SET,
     CSV_BLOCK_VALUES,
     KMEANS_MAX_ITER,
     SIM_DEPTH,
     SIM_TILE,
     _kmeanspp_centers,
     _lloyd_once,
+    _probe_group_rows,
     save_matrix_csv,
 )
 
@@ -306,6 +308,68 @@ def test_similarity_checks_valid_input_without_per_client_calls(monkeypatch):
     assert stack.size > 3 * CHECK_BLOCK_VALUES
     build_similarity_matrix(stack)
     assert calls == []
+
+
+def test_streamed_build_names_the_lowest_bad_client_across_groups():
+    n, samples, classes = 8, 600, 10
+    rows = _probe_group_rows(n, samples, classes)
+    assert rows == 256  # groups of probe rows 0:256, 256:512 and 512:600
+    stack = np.random.default_rng(20).dirichlet(np.ones(classes), size=(n, samples))
+    _spoil(stack[3, 590], "nan")  # only in the last group
+    _spoil(stack[5, 10], "negative")  # only in the first group
+    expected = f"soft labels of client 3 {_MESSAGES['nan']}"
+    for soft in (stack, list(stack)):
+        with pytest.raises(ValueError) as err:
+            build_similarity_matrix(soft)
+        assert str(err.value) == expected
+
+
+def test_streamed_build_reports_the_whole_bad_client_like_the_array_build():
+    # The same client and message as the array path when the bad rows of the
+    # lowest bad client are spread over groups with different faults.
+    n, samples, classes = 8, 600, 10
+    stack = np.random.default_rng(21).dirichlet(np.ones(classes), size=(n, samples))
+    _spoil(stack[6, 5], "negative")
+    _spoil(stack[6, 595], "inf")
+    messages = []
+    for soft in (stack, list(stack)):
+        with pytest.raises(ValueError) as err:
+            build_similarity_matrix(soft)
+        messages.append(str(err.value))
+    assert messages == [f"soft labels of client 6 {_MESSAGES['inf']}"] * 2
+
+
+@pytest.mark.parametrize(
+    "n, samples, classes, rows",
+    [
+        (1000, 200, 20, 64),  # cluster-scale: four groups of one unit
+        (100, 1000, 10, 256),  # battery: widened to four groups
+        (10_000, 200, 20, 200),  # fits in n * n values: one group
+        (3, 5, 7, 5),  # fewer probe rows than one unit
+    ],
+)
+def test_probe_groups_are_whole_chunks_and_at_most_four(n, samples, classes, rows):
+    assert _probe_group_rows(n, samples, classes) == rows
+    assert rows == samples or rows * classes % SIM_DEPTH == 0
+    assert -(-samples // rows) <= 4
+
+
+# Probe rows run from under one unit of SIM_DEPTH / gcd(SIM_DEPTH, classes)
+# rows (256 at 3 and 7 classes, 64 at 20) to several units in several groups.
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 70).filter(lambda n: n % SIM_TILE != 0),
+    classes=st.sampled_from([2, 3, 7, 10, 20]),
+    samples=st.integers(1, 5 * SIM_DEPTH),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, classes=2, samples=5, seed=0)
+@example(n=69, classes=3, samples=4 * SIM_DEPTH + 1, seed=1)
+@example(n=2 * CLIENT_SET + 5, classes=10, samples=377, seed=2)  # three client sets
+def test_streamed_build_bytes_equal_the_array_build(n, classes, samples, seed):
+    stack = np.random.default_rng(seed).dirichlet(np.full(classes, 0.3), size=(n, samples))
+    streamed = build_similarity_matrix(list(stack))
+    assert streamed.tobytes() == build_similarity_matrix(stack).tobytes()
 
 
 _SIMILARITY_SHA = """
