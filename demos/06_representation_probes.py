@@ -1,11 +1,10 @@
-"""Representation similarity probes: latent distances and CKA heatmaps.
+"""Representation similarity probe: latent distances within clusters.
 
 After the clustering pre-pass, clients grouped together should have learned
-similar high-level features. Two checks on a shared probe batch:
-
-  * mean Euclidean distance between per-client mean latent vectors, within
-    clusters vs under size-preserving random relabelings;
-  * layer-by-layer linear CKA for a same-cluster pair vs a cross-cluster pair.
+similar high-level features. On a shared probe batch, the demo compares the
+mean Euclidean distance between per-client mean latent vectors within
+clusters against the same distance under size-preserving random relabelings.
+The clustering itself reads soft labels, not these latent features.
 
 Run:  python3 demos/06_representation_probes.py
 """
@@ -14,7 +13,6 @@ from fedsim import (
     ModelSpec,
     ServerState,
     TrainConfig,
-    cka_layer_map,
     forward,
     init_params,
     latent_cluster_gap,
@@ -42,25 +40,6 @@ def main():
     intra, rand = latent_cluster_gap(latents, pre.assignment, seed=seed)
     print(f"latent distance within clusters: {intra:.4f}")
     print(f"latent distance, random groups : {rand:.4f}   (20 relabelings)")
-
-    labels = pre.assignment.labels
-    partner = next(i for i in range(1, 24) if labels[i] == labels[0])
-    stranger = next(i for i in range(1, 24) if labels[i] != labels[0])
-
-    def show(title, grid):
-        print(f"\n{title}")
-        print("            " + "  ".join(f"layer{j}" for j in range(grid.shape[1])))
-        for i, row in enumerate(grid):
-            print(f"    layer{i}  " + "  ".join(f"{v:6.3f}" for v in row))
-
-    show(
-        f"CKA, same cluster (client 0 vs {partner})",
-        cka_layer_map(pre.updates[0].new_params, pre.updates[partner].new_params, probe),
-    )
-    show(
-        f"CKA, different cluster (client 0 vs {stranger})",
-        cka_layer_map(pre.updates[0].new_params, pre.updates[stranger].new_params, probe),
-    )
 
 
 if __name__ == "__main__":

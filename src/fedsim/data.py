@@ -8,9 +8,7 @@ to two clients.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -85,15 +83,6 @@ class Partition:
     @property
     def num_clients(self) -> int:
         return len(self.assignment)
-
-    def sizes(self) -> list[int]:
-        return [len(a) for a in self.assignment]
-
-    def to_dict(self) -> dict[str, list[int]]:
-        return {str(i): [int(v) for v in idx] for i, idx in enumerate(self.assignment)}
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2))
 
 
 def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed) -> Dataset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import PROB_FLOOR, ModelParams, forward, layer_activations
+from .mlp import PROB_FLOOR, ModelParams, forward
 from .sampling import ClusterAssignment, SamplingPlan, kl_divergence
 
 # Bytes per parameter on the wire (fp32 convention); internal math stays float64.
@@ -180,17 +180,6 @@ def linear_cka(acts_a, acts_b) -> float:
         warnings.warn("zero-variance activations; CKA undefined, returning 0")
         return 0.0
     return float(cross / denom)
-
-
-def cka_layer_map(params_a: ModelParams, params_b: ModelParams, probe) -> np.ndarray:
-    """Pairwise linear CKA between every layer of two models on a shared probe."""
-    acts_a = layer_activations(params_a, probe)
-    acts_b = layer_activations(params_b, probe)
-    grid = np.zeros((len(acts_a), len(acts_b)))
-    for i, ai in enumerate(acts_a):
-        for j, bj in enumerate(acts_b):
-            grid[i, j] = linear_cka(ai, bj)
-    return grid
 
 
 def evaluate_global(params: ModelParams, test) -> tuple[float, float]:

@@ -182,13 +182,6 @@ def forward_logits(params: ModelParams, batch) -> np.ndarray:
     return _activations(unpack_params(params.values, params.spec), x)[1]
 
 
-def layer_activations(params: ModelParams, batch) -> list[np.ndarray]:
-    """Post-activation matrix per layer: hidden ReLU outputs, then softmax output."""
-    x = _check_batch(params, batch)
-    acts, logits = _activations(unpack_params(params.values, params.spec), x)
-    return acts[1:] + [softmax(logits)]
-
-
 def loss_and_grad(
     params: ModelParams,
     batch,

@@ -136,23 +136,22 @@ def kl_divergence(p, q) -> float:
 def build_similarity_matrix(soft_labels) -> np.ndarray:
     """n x n matrix of pairwise KL divergences between clients' soft labels.
 
-    `soft_labels` is an (n, samples, classes) array or a sequence of n
-    (samples, classes) arrays. The (i, j) entry is the mean over probe samples
-    of KL(row of client i || row of client j): (C[i, i] - C[i, j]) / samples,
-    clipped at 0, for C = P @ log(P).T over the floored rows P flattened to
-    (n, samples * classes). C's bytes do not depend on the BLAS thread count,
-    and taking the self term off its diagonal gives identical clients
-    exactly 0.
+    `soft_labels` holds n clients' (samples, classes) soft labels. The (i, j)
+    entry is the mean over probe samples of KL(row of client i || row of
+    client j): (C[i, i] - C[i, j]) / samples, clipped at 0, for C = P @ log(P).T
+    over the floored rows P flattened to (n, samples * classes). C's bytes do
+    not depend on the BLAS thread count, and taking the self term off its
+    diagonal gives identical clients exactly 0.
 
-    A float64 array is read in place, as one group of probe rows, and never
-    written; an array of another dtype is converted once. A sequence is read
-    one group of `_probe_group_rows` probe rows at a time, for every client,
-    into one reused buffer per `CLIENT_SET` clients. If it has a
-    `fill_rows(top, lo, out)` method, as `experiment.ProbePredictions` does,
-    that writes probe rows lo onward of clients top onward into `out`;
-    otherwise they are copied from the items. Groups end on whole `SIM_DEPTH`
-    column chunks, so the chunks, tiles and additions, and so the bytes, are
-    those of the whole array.
+    Input comes in one of two kinds. A source with a `fill_rows(top, lo, out)`
+    method, as `experiment.ProbePredictions`, writes probe rows lo onward of
+    clients top onward into `out`; `len()` gives n and item 0 the shape. It is
+    read one group of `_probe_group_rows` probe rows at a time, for every
+    client, into one reused buffer per `CLIENT_SET` clients. Groups end on
+    whole `SIM_DEPTH` column chunks, so the chunks, tiles and additions, and
+    so the bytes, are those of the whole array. Any other input is converted
+    once by `np.asarray(..., dtype=np.float64)` and read as one group: a
+    float64 array in place, never written.
 
     Each group is checked one block of whole clients, at most
     `CHECK_BLOCK_VALUES` values, at a time. After a bad client no group is
@@ -160,8 +159,8 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     and the lowest is named in `_check_distribution`'s words: the same client
     and message as for the whole array.
 
-    Memory beside the input, in float64s: a sequence's group buffers, the
-    (n, n) accumulator, which becomes the result, and `_cross_term`'s
+    Memory beside the input, in float64s: a streamed source's group buffers,
+    the (n, n) accumulator, which becomes the result, and `_cross_term`'s
     buffers. At 1000 x 200 x 20 that is 10 MB of buffers for 64 probe rows,
     an 8 MB result and 2.9 MiB, against a 32 MB array.
     """
@@ -194,38 +193,28 @@ def _probe_group_rows(n: int, samples: int, classes: int) -> int:
 
 def _probe_groups(soft_labels):
     """(n, samples, classes) and an iterator of probe-row groups, each a list of client sets."""
-    if isinstance(soft_labels, np.ndarray):
+    fill = getattr(soft_labels, "fill_rows", None)
+    if fill is None:
         probs = np.asarray(soft_labels, dtype=np.float64)
         shape = probs.shape
     else:
-        probs = None
-        shape = (len(soft_labels), *np.shape(soft_labels[0])) if len(soft_labels) else (0, 0, 0)
+        shape = (len(soft_labels), *np.shape(soft_labels[0])) if len(soft_labels) else (0,)
+    if not shape or shape[0] == 0:
+        raise ValueError("need at least one soft-label set")
     if len(shape) != 3:
         raise ValueError(_RAGGED)
     n, samples, classes = shape
-    if n == 0:
-        raise ValueError("need at least one soft-label set")
     if samples == 0:
         raise ValueError("need at least one probe sample per soft-label set")
-    if probs is None:
-        groups = _gathered(soft_labels, n, samples, classes)
-    else:
+    if fill is None:
         groups = iter([[probs[top : top + CLIENT_SET] for top in range(0, n, CLIENT_SET)]])
+    else:
+        groups = _streamed(fill, n, samples, classes)
     return n, samples, classes, groups
 
 
-def _gathered(soft_labels, n: int, samples: int, classes: int):
-    """A sequence's probe-row groups, gathered into one reused buffer per client set."""
-    fill = getattr(soft_labels, "fill_rows", None)
-    if fill is None:
-
-        def fill(top: int, lo: int, out: np.ndarray) -> None:
-            for i, rows in enumerate(out, top):
-                client = np.asarray(soft_labels[i], dtype=np.float64)
-                if client.shape != (samples, classes):
-                    raise ValueError(_RAGGED)
-                rows[...] = client[lo : lo + len(rows)]
-
+def _streamed(fill, n: int, samples: int, classes: int):
+    """A `fill_rows` source's probe-row groups, in one reused buffer per client set."""
     step = _probe_group_rows(n, samples, classes)
     sets = [np.empty((min(CLIENT_SET, n - top), step, classes)) for top in range(0, n, CLIENT_SET)]
     for lo in range(0, samples, step):

@@ -204,19 +204,6 @@ def test_csv_rejects_non_integer_labels(tmp_path):
         load_csv(path)
 
 
-def test_partition_json_export(tmp_path):
-    import json
-
-    ds = synth_blobs(2, 2, 8, 1.0, seed=4)
-    part = partition_dirichlet(ds, 3, 0.5, seed=1)
-    out = tmp_path / "partition.json"
-    part.save_json(out)
-    payload = json.loads(out.read_text())
-    assert set(payload) == {"0", "1", "2"}
-    total = sum(len(v) for v in payload.values())
-    assert total == len(ds)
-
-
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), 2)

@@ -439,6 +439,18 @@ def test_cli_rejects_unbuildable_csv_before_any_output(tmp_path, capsys, header,
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_reports_a_config_too_large_to_allocate_before_any_output(tmp_path, capsys):
+    # The (3, 10**15) float64 class means need 21.3 PiB, more than any address
+    # space, so numpy refuses them before allocating anything.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(tmp_path).to_dict()))
+    rc = cli_main(["run", "--config", cfg_path.as_posix(), "--set", f"dim={10**15}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_run_with_a_directory_as_config_is_one_error_line(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(tmp_path)])
     assert rc == 1

@@ -8,10 +8,8 @@ from fedsim import (
     CostLedger,
     ModelParams,
     ModelSpec,
-    cka_layer_map,
     comm_cost_step,
     evaluate_global,
-    init_params,
     latent_cluster_gap,
     linear_cka,
     rounds_to_target,
@@ -123,15 +121,6 @@ def test_cka_zero_variance_returns_zero_with_warning():
         assert linear_cka(a, b) == 0.0
 
 
-def test_cka_layer_map_self_diagonal_ones():
-    spec = ModelSpec((4, 6, 3))
-    p = init_params(spec, 5)
-    probe = np.random.default_rng(6).normal(size=(30, 4))
-    grid = cka_layer_map(p, p, probe)
-    assert grid.shape == (2, 2)
-    assert np.allclose(np.diag(grid), 1.0, atol=1e-9)
-
-
 def test_evaluate_separable_blob_perfect_classifier():
     ds = synth_blobs(4, 6, 10, spread=0.0, seed=9)
     means = np.stack([ds.features[ds.labels == k][0] for k in range(4)])
@@ -223,15 +212,20 @@ def test_latent_gap_on_manual_split(manual_split):
 
 
 def test_cka_latent_layer_higher_within_cluster(manual_split):
+    from fedsim import forward
     from tests.conftest import MANUAL_TRUTH
 
     probe = manual_split.test.features
     ups = manual_split.pre.updates
     same_group = [i for i in range(24) if MANUAL_TRUTH[i] == MANUAL_TRUTH[0]]
     other_group = [i for i in range(24) if MANUAL_TRUTH[i] != MANUAL_TRUTH[0]]
-    intra = cka_layer_map(ups[0].new_params, ups[same_group[1]].new_params, probe)
-    inter = cka_layer_map(ups[0].new_params, ups[other_group[-1]].new_params, probe)
-    assert np.mean(np.diag(intra)) > np.mean(np.diag(inter))
+
+    def mean_cka(i, j):
+        # A one-hidden-layer model's two layers: the softmax output and the hidden activations.
+        layers = zip(forward(ups[i].new_params, probe), forward(ups[j].new_params, probe))
+        return np.mean([linear_cka(a, b) for a, b in layers])
+
+    assert mean_cka(0, same_group[1]) > mean_cka(0, other_group[-1])
 
 
 def test_entropy_nonnegative_random_plans():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsim import ModelParams, ModelSpec, forward, init_params, loss_and_grad, sgd_step
-from fedsim.mlp import layer_activations, unpack_params
+from fedsim.mlp import unpack_params
 
 
 def test_init_length_matches_shape_arithmetic():
@@ -91,13 +91,6 @@ def test_forward_dimension_mismatch():
     p = init_params(ModelSpec((4, 2)), 0)
     with pytest.raises(ValueError):
         forward(p, np.zeros((3, 5)))
-
-
-def test_layer_activations_shapes():
-    spec = ModelSpec((4, 6, 3, 2))
-    p = init_params(spec, 2)
-    acts = layer_activations(p, np.random.default_rng(1).normal(size=(5, 4)))
-    assert [a.shape for a in acts] == [(5, 6), (5, 3), (5, 2)]
 
 
 def test_unpack_params_of_a_stack_are_views_of_each_row():

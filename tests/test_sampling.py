@@ -181,6 +181,26 @@ def test_similarity_tiles_stay_single_threaded():
     assert SIM_TILE * SIM_TILE * SIM_DEPTH <= 2**18
 
 
+class _StackRows:
+    """A (clients, probe rows, classes) stack served like `ProbePredictions`.
+
+    Its `fill_rows` sends `build_similarity_matrix` down the streamed path,
+    one group of probe rows at a time.
+    """
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def __len__(self):
+        return len(self.stack)
+
+    def __getitem__(self, i):
+        return self.stack[i]
+
+    def fill_rows(self, top, lo, out):
+        out[...] = self.stack[top : top + len(out), lo : lo + out.shape[1]]
+
+
 # sha256 of the matrix on a seeded stack of the bench's pre-pass shape (1000
 # clients x 200 probe rows x 20 classes), taken when the similarity build
 # still stacked a copy of its input and held the whole tile grid.
@@ -194,7 +214,7 @@ def test_similarity_bytes_pinned_at_the_bench_prepass_shape():
     got = build_similarity_matrix(stack).tobytes()
     assert hashlib.sha256(got).hexdigest() == _BENCH_SHAPE_SHA
     assert hashlib.sha256(stack.tobytes()).hexdigest() == before
-    assert build_similarity_matrix(list(stack)).tobytes() == got
+    assert build_similarity_matrix(_StackRows(stack)).tobytes() == got
 
 
 # sha256 of the matrix at battery's pre-pass shape (a short 16-column last
@@ -318,7 +338,7 @@ def test_streamed_build_names_the_lowest_bad_client_across_groups():
     _spoil(stack[3, 590], "nan")  # only in the last group
     _spoil(stack[5, 10], "negative")  # only in the first group
     expected = f"soft labels of client 3 {_MESSAGES['nan']}"
-    for soft in (stack, list(stack)):
+    for soft in (stack, _StackRows(stack)):
         with pytest.raises(ValueError) as err:
             build_similarity_matrix(soft)
         assert str(err.value) == expected
@@ -332,7 +352,7 @@ def test_streamed_build_reports_the_whole_bad_client_like_the_array_build():
     _spoil(stack[6, 5], "negative")
     _spoil(stack[6, 595], "inf")
     messages = []
-    for soft in (stack, list(stack)):
+    for soft in (stack, _StackRows(stack)):
         with pytest.raises(ValueError) as err:
             build_similarity_matrix(soft)
         messages.append(str(err.value))
@@ -368,7 +388,7 @@ def test_probe_groups_are_whole_chunks_and_at_most_four(n, samples, classes, row
 @example(n=2 * CLIENT_SET + 5, classes=10, samples=377, seed=2)  # three client sets
 def test_streamed_build_bytes_equal_the_array_build(n, classes, samples, seed):
     stack = np.random.default_rng(seed).dirichlet(np.full(classes, 0.3), size=(n, samples))
-    streamed = build_similarity_matrix(list(stack))
+    streamed = build_similarity_matrix(_StackRows(stack))
     assert streamed.tobytes() == build_similarity_matrix(stack).tobytes()
 
 
@@ -376,10 +396,21 @@ _SIMILARITY_SHA = """
 import hashlib, sys
 import numpy as np
 from fedsim import build_similarity_matrix
+
+class Rows:  # tests/test_sampling.py's _StackRows: streamed in probe-row groups
+    def __init__(self, stack):
+        self.stack = stack
+    def __len__(self):
+        return len(self.stack)
+    def __getitem__(self, i):
+        return self.stack[i]
+    def fill_rows(self, top, lo, out):
+        out[...] = self.stack[top : top + len(out), lo : lo + out.shape[1]]
+
 n, samples, classes = map(int, sys.argv[1:4])
 rng = np.random.default_rng([n, samples, classes])
 soft = rng.dirichlet(np.ones(classes), size=(n, samples))
-matrix = build_similarity_matrix(list(soft) if sys.argv[4] == "list" else soft)
+matrix = build_similarity_matrix(Rows(soft) if sys.argv[4] == "rows" else soft)
 print(hashlib.sha256(matrix.tobytes()).hexdigest())
 """
 
@@ -397,11 +428,13 @@ def _similarity_sha_in_subprocess(threads, shape, kind):
 
 
 # 50 x 30 x 10 is a shape where one plain `P @ log(P).T` gives different bytes
-# on one and two OpenBLAS threads; 100 x 1000 x 10 is battery's pre-pass, and
-# 1000 x 200 x 20, passed as one array as `preprocess` does, cluster-scale's.
+# on one and two OpenBLAS threads; 100 x 1000 x 10 is battery's pre-pass and
+# 1000 x 200 x 20 cluster-scale's. The first two are streamed in probe-row
+# groups by a `fill_rows` source, as `preprocess` streams `ProbePredictions`;
+# the third is read in place as one array.
 @pytest.mark.parametrize(
     "shape, kind",
-    [((50, 30, 10), "list"), ((100, 1000, 10), "list"), ((1000, 200, 20), "stack")],
+    [((50, 30, 10), "rows"), ((100, 1000, 10), "rows"), ((1000, 200, 20), "stack")],
     ids=["shape0", "shape1", "stack"],
 )
 def test_similarity_bytes_do_not_depend_on_blas_threads(shape, kind):
