@@ -290,16 +290,17 @@ class ProbePredictions:
 
     The sequence `preprocess` passes to `build_similarity_matrix` instead of
     a (clients, probe rows, classes) stack: item i is client i's probe
-    probabilities, a slice is the sequence of those clients, and `fill_rows`
-    writes some probe rows of several clients, with the same bytes. The
-    predictions run under the same np.errstate as training: a model with
-    huge weights gives non-finite soft labels, which the build reports, and
-    no numpy warnings.
+    probabilities, a slice is the sequence of those clients, `shape` is
+    (clients, probe rows, classes) and `fill_rows` writes some probe rows of
+    several clients, with the same bytes. The predictions run under the same
+    np.errstate as training: a model with huge weights gives non-finite soft
+    labels, which the build reports, and no numpy warnings.
     """
 
     def __init__(self, params: list[ModelParams], features: np.ndarray):
         self.params = params
         self.features = features
+        self.shape = (len(params), len(features), params[0].spec.num_classes if params else 0)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -313,9 +314,10 @@ class ProbePredictions:
     def fill_rows(self, top: int, lo: int, out: np.ndarray) -> None:
         """Probe rows lo onward of clients top onward, into the (clients, rows, classes) `out`.
 
-        Each client's logits are computed over the whole probe set, by the
-        GEMMs `forward` runs, since OpenBLAS's bits for a row can depend on
-        the row count. The softmax, row-wise, then runs once over `out`.
+        Each client's logits are computed over the whole probe set, by
+        `forward_logits`: OpenBLAS's bits for a row depend on the row count in
+        a GEMM of at most 10**6 multiply-adds, and no GEMM of its row blocks is
+        one. The softmax, row-wise, then runs once over `out`.
         """
         hi = lo + out.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):

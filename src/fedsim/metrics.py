@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import PROB_FLOOR, ModelParams, forward
+from .mlp import PROB_FLOOR, ModelParams, forward_logits, softmax
+from .mlp import forward  # noqa: F401  bench/tracer.py traces fedsim.metrics.forward
 from .sampling import ClusterAssignment, SamplingPlan, kl_divergence
 
 # Bytes per parameter on the wire (fp32 convention); internal math stays float64.
@@ -183,10 +184,14 @@ def linear_cka(acts_a, acts_b) -> float:
 
 
 def evaluate_global(params: ModelParams, test) -> tuple[float, float]:
-    """Argmax accuracy and mean cross-entropy on a labeled dataset."""
+    """Argmax accuracy and mean cross-entropy on a labeled dataset, scored in row blocks."""
     if len(test) == 0:
         raise ValueError("test set is empty")
-    probs, _ = forward(params, test.features)
+    classes = int(np.max(test.labels)) + 1
+    if classes > params.spec.num_classes:
+        raise ValueError(f"test labels need {classes} classes, the model has {params.spec.num_classes}")
+    logits = forward_logits(params, test.features)
+    probs = softmax(logits, out=logits)
     pred = np.argmax(probs, axis=1)
     accuracy = float(np.mean(pred == test.labels))
     picked = probs[np.arange(len(test)), test.labels]

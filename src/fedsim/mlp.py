@@ -16,6 +16,9 @@ import numpy as np
 
 # Applied before any explicit log of a probability.
 PROB_FLOOR = 1e-12
+# Least multiply-adds per layer GEMM of a `forward_logits` row block: above
+# OpenBLAS's 10**6 small-matrix cutoff a row's bits do not depend on the row count.
+BLOCK_MACS = 2**20
 
 
 @dataclass(frozen=True)
@@ -176,10 +179,22 @@ def forward(params: ModelParams, batch) -> tuple[np.ndarray, np.ndarray]:
     return softmax(logits), acts[-1]
 
 
+def _row_blocks(spec: ModelSpec, rows: int) -> int:
+    """`forward_logits`'s row blocks: rows // ceil(BLOCK_MACS / least fan_in * fan_out), at least 1."""
+    return max(1, rows // -(-BLOCK_MACS // min(fi * fo for fi, fo in spec.layer_shapes)))
+
+
 def forward_logits(params: ModelParams, batch) -> np.ndarray:
-    """The output layer's values before the softmax: `forward`'s probabilities are their `softmax`."""
+    """The output layer's values before the softmax: `forward`'s probabilities are their `softmax`.
+
+    Rows run in `_row_blocks` near-equal blocks, so one block's activations, and
+    OpenBLAS's packed copy of one, are held at a time. Each block's layer GEMMs
+    are the whole batch's or do at least BLOCK_MACS multiply-adds: same bytes.
+    """
     x = _check_batch(params, batch)
-    return _activations(unpack_params(params.values, params.spec), x)[1]
+    layers = unpack_params(params.values, params.spec)
+    parts = np.array_split(x, _row_blocks(params.spec, len(x)))
+    return np.concatenate([_activations(layers, part)[1] for part in parts])
 
 
 def loss_and_grad(

@@ -145,7 +145,7 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
 
     Input comes in one of two kinds. A source with a `fill_rows(top, lo, out)`
     method, as `experiment.ProbePredictions`, writes probe rows lo onward of
-    clients top onward into `out`; `len()` gives n and item 0 the shape. It is
+    clients top onward into `out`; its `shape` is (n, samples, classes). It is
     read one group of `_probe_group_rows` probe rows at a time, for every
     client, into one reused buffer per `CLIENT_SET` clients. Groups end on
     whole `SIM_DEPTH` column chunks, so the chunks, tiles and additions, and
@@ -195,10 +195,8 @@ def _probe_groups(soft_labels):
     """(n, samples, classes) and an iterator of probe-row groups, each a list of client sets."""
     fill = getattr(soft_labels, "fill_rows", None)
     if fill is None:
-        probs = np.asarray(soft_labels, dtype=np.float64)
-        shape = probs.shape
-    else:
-        shape = (len(soft_labels), *np.shape(soft_labels[0])) if len(soft_labels) else (0,)
+        soft_labels = np.asarray(soft_labels, dtype=np.float64)
+    shape = soft_labels.shape
     if not shape or shape[0] == 0:
         raise ValueError("need at least one soft-label set")
     if len(shape) != 3:
@@ -207,7 +205,7 @@ def _probe_groups(soft_labels):
     if samples == 0:
         raise ValueError("need at least one probe sample per soft-label set")
     if fill is None:
-        groups = iter([[probs[top : top + CLIENT_SET] for top in range(0, n, CLIENT_SET)]])
+        groups = iter([[soft_labels[top : top + CLIENT_SET] for top in range(0, n, CLIENT_SET)]])
     else:
         groups = _streamed(fill, n, samples, classes)
     return n, samples, classes, groups

@@ -1,5 +1,6 @@
 """Every benchmark workload's configs pass validation and build their data,
-and a traced pre-pass still feeds the benchmark's similarity metrics.
+each scores its test set in a pinned number of row blocks, and a traced
+pre-pass still feeds the benchmark's similarity metrics.
 
 `bench/workloads.py`, `bench/tracer.py` and `bench/worker.py` are loaded
 read-only from their files, so a config the validator rejects, or soft labels
@@ -7,6 +8,7 @@ the tracer or the scale sweep cannot read, show up here rather than as a
 refused benchmark run.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -15,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import ExperimentConfig, build_similarity_matrix, run_experiment
+from fedsim import ExperimentConfig, ModelSpec, build_similarity_matrix, run_experiment
 from fedsim.experiment import _build_data, _build_partition
+from fedsim.mlp import _row_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +38,10 @@ def _load_bench(name: str):
 
 
 WORKLOADS = _load_bench("workloads").WORKLOADS
+# Row blocks `evaluate_global` scores each workload's test set in. A workload
+# or `mlp.BLOCK_MACS` change that moves one across the one-block boundary
+# changes which GEMMs score it, and fails here.
+SCORING_BLOCKS = {"battery": 1, "cluster-scale": 1, "wide-scaffold": 24}
 
 
 def test_every_declared_workload_is_defined():
@@ -49,9 +56,25 @@ def test_workload_configs_validate_and_build(workload, seed, tmp_path):
     assert configs
     for _, raw in configs:
         cfg = ExperimentConfig.from_dict(raw)
-        train, _ = _build_data(cfg)
+        train, test = _build_data(cfg)
         assert len(_build_partition(cfg, train).assignment) == cfg.n_clients
+        spec = ModelSpec((train.dim, *cfg.hidden_sizes, train.num_classes))
+        assert _row_blocks(spec, len(test)) == SCORING_BLOCKS[workload]
+        if cfg.sampler == "stratified":  # the probe forward
+            assert _row_blocks(spec, cfg.public_count) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of metrics.csv for wide-scaffold's seed-1 config cut to 2 rounds, taken
+# while `evaluate_global` scored the whole test set in one pass. It now scores
+# in 24 row blocks; every golden config scores in one.
+_WIDE_SCAFFOLD_SHA = "1f335bbcb6d7c31621ad9f3661d50e4fd03f06d471729a8c34e4f915ce0216b1"
+
+
+def test_multi_block_scoring_keeps_wide_scaffold_metrics_bytes(tmp_path):
+    ((_, raw),) = WORKLOADS["wide-scaffold"].configs(1, tmp_path.as_posix())
+    out = run_experiment(ExperimentConfig.from_dict({**raw, "rounds": 2}))
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == _WIDE_SCAFFOLD_SHA
 
 
 def test_traced_prepass_feeds_the_similarity_metrics_and_the_sweep(tmp_path, monkeypatch):

@@ -720,6 +720,8 @@ def test_probe_predictions_give_the_stacked_forward_bytes(hidden, classes):
     stack = np.stack([forward(m, probe)[0] for m in models])
     assert len(soft) == 37 and np.array_equal(soft[4], stack[4])
     assert len(soft[30:]) == 7 and np.array_equal(soft[30:][0], stack[30])
+    assert soft.shape == stack.shape and soft[30:].shape == stack[30:].shape
+    assert soft[:0].shape[0] == 0
     for lo, hi in ((0, 64), (128, 256), (512, 520)):
         out = np.empty((6, hi - lo, classes))
         soft.fill_rows(5, lo, out)
@@ -727,6 +729,20 @@ def test_probe_predictions_give_the_stacked_forward_bytes(hidden, classes):
     for clients in (slice(None), slice(9)):
         got = build_similarity_matrix(soft[clients])
         assert got.tobytes() == build_similarity_matrix(stack[clients]).tobytes()
+
+
+def test_stratified_run_reads_the_probe_shape_without_a_forward(tmp_path, monkeypatch):
+    # The build learns (clients, probe rows, classes) from `ProbePredictions.shape`;
+    # every probe prediction comes from `fill_rows`.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_mod, "forward", counted)
+    run_experiment(_tiny_config(tmp_path, sampler="stratified", rounds=2))
+    assert calls == []
 
 
 def test_prepass_build_holds_one_group_of_probe_rows(monkeypatch):

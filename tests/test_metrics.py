@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fedsim.metrics as metrics_mod
 from fedsim import (
     ClusterAssignment,
     CostLedger,
+    Dataset,
     ModelParams,
     ModelSpec,
     comm_cost_step,
@@ -139,6 +142,31 @@ def test_evaluate_zero_params_chance_level_and_log_k_loss():
     acc, loss = evaluate_global(params, ds)
     assert acc == pytest.approx(0.1, abs=1e-12)  # argmax ties go to class 0
     assert loss == pytest.approx(math.log(10), abs=1e-9)
+
+
+def test_evaluate_rejects_labels_beyond_the_model_before_scoring(monkeypatch):
+    ds = synth_blobs(12, 3, 5, 1.0, seed=11)
+    spec = ModelSpec((3, 10))
+    params = ModelParams(np.zeros(spec.num_params), spec)
+    monkeypatch.setattr(metrics_mod, "forward_logits", lambda *args: pytest.fail("scored"))
+    with pytest.raises(ValueError, match="^test labels need 12 classes, the model has 10$"):
+        evaluate_global(params, ds)
+
+
+def test_evaluate_holds_one_row_block_of_activations():
+    # wide-scaffold's scoring shape, 24 row blocks. One pass over all 10,000
+    # rows peaked at 41.8 MB.
+    rng = np.random.default_rng(12)
+    spec = ModelSpec((32, 256, 256, 10))
+    params = ModelParams(rng.normal(scale=0.1, size=spec.num_params), spec)
+    test = Dataset(rng.normal(size=(10_000, 32)), rng.integers(0, 10, size=10_000), 10)
+    tracemalloc.start()
+    try:
+        evaluate_global(params, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_rounds_to_target_boundaries():

@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import fedsim
+import fedsim.mlp as mlp_mod
 from fedsim import ModelParams, ModelSpec, forward, init_params, loss_and_grad, sgd_step
-from fedsim.mlp import unpack_params
+from fedsim.mlp import BLOCK_MACS, _activations, _row_blocks, forward_logits, unpack_params
 
 
 def test_init_length_matches_shape_arithmetic():
@@ -232,3 +240,91 @@ def test_no_nan_inf_escapes_on_finite_inputs():
     loss, grad = loss_and_grad(p, x, y)
     assert np.all(np.isfinite(probs)) and np.all(np.isfinite(latent))
     assert math.isfinite(loss) and np.all(np.isfinite(grad))
+
+
+def _random_model(spec, rows, seed):
+    rng = np.random.default_rng(seed)
+    return ModelParams(rng.normal(size=spec.num_params), spec), rng.normal(size=(rows, spec.input_dim))
+
+
+# Narrow output layers, 256-wide hidden layers, and rows spanning one to five
+# blocks. Specs whose least fan_in * fan_out is under 320 (blocks of over 3277
+# rows) are left out, and so are examples with over 2**21 hidden activations.
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.tuples(
+        st.sampled_from([16, 32]),
+        st.lists(st.sampled_from([32, 256]), max_size=2),
+        st.sampled_from([2, 10, 20]),
+    ).map(lambda t: (t[0], *t[1], t[2])),
+    blocks=st.integers(1, 5),
+    extra=st.integers(0, 2**16),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=(32, 10), blocks=2, extra=0, seed=0)  # 2048-row chunks of 32 -> 10 differ
+@example(sizes=(32, 256, 256, 10), blocks=5, extra=409, seed=1)  # wide-scaffold's model
+@example(sizes=(32, 256, 2), blocks=3, extra=5, seed=2)
+def test_blocked_logits_have_the_bytes_of_one_whole_batch_pass(sizes, blocks, extra, seed):
+    spec = ModelSpec(sizes)
+    least = min(fi * fo for fi, fo in spec.layer_shapes)
+    assume(least >= 320)
+    per_block = -(-BLOCK_MACS // least)
+    rows = blocks * per_block + extra % per_block
+    assume(rows * sum(sizes[1:-1]) <= 2**21)
+    assert _row_blocks(spec, rows) == blocks
+    params, x = _random_model(spec, rows, seed)
+    whole = _activations(unpack_params(params.values, spec), x)[1]
+    assert forward_logits(params, x).tobytes() == whole.tobytes()
+
+
+def test_row_blocks_are_near_equal_and_each_gemm_passes_the_cutoff(monkeypatch):
+    # wide-scaffold's scoring: 10,000 test rows through a (32, 256, 256, 10) model.
+    spec = ModelSpec((32, 256, 256, 10))
+    params, x = _random_model(spec, 10_000, 3)
+    seen = []
+    activations = mlp_mod._activations
+
+    def counted(layers, part):
+        seen.append(len(part))
+        return activations(layers, part)
+
+    monkeypatch.setattr(mlp_mod, "_activations", counted)
+    forward_logits(params, x)
+    assert len(seen) == _row_blocks(spec, 10_000) == 24
+    assert sum(seen) == 10_000 and set(seen) == {416, 417}
+    assert min(seen) * 256 * 10 >= BLOCK_MACS
+    assert _row_blocks(spec, 409) == _row_blocks(spec, 0) == 1
+
+
+_BLOCKED_SCORES = """
+import hashlib
+import numpy as np
+from fedsim import Dataset, ModelParams, ModelSpec, evaluate_global
+from fedsim.mlp import _row_blocks, forward_logits
+
+spec = ModelSpec((32, 256, 256, 10))
+rng = np.random.default_rng(27)
+params = ModelParams(rng.normal(scale=0.1, size=spec.num_params), spec)
+rows = 3 * 410 + 7
+test = Dataset(rng.normal(size=(rows, 32)), rng.integers(0, 10, size=rows), 10)
+assert _row_blocks(spec, rows) == 3
+logits = forward_logits(params, test.features)
+print(hashlib.sha256(logits.tobytes()).hexdigest(), *map(repr, evaluate_global(params, test)))
+"""
+
+
+def _blocked_scores_in_subprocess(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(fedsim.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_SCORES], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.split()
+
+
+def test_multi_block_scores_do_not_depend_on_blas_threads():
+    one = _blocked_scores_in_subprocess(1)
+    assert len(one) == 3 and len(one[0]) == 64
+    assert _blocked_scores_in_subprocess(2) == one

@@ -190,6 +190,7 @@ class _StackRows:
 
     def __init__(self, stack):
         self.stack = stack
+        self.shape = stack.shape
 
     def __len__(self):
         return len(self.stack)
@@ -400,6 +401,7 @@ from fedsim import build_similarity_matrix
 class Rows:  # tests/test_sampling.py's _StackRows: streamed in probe-row groups
     def __init__(self, stack):
         self.stack = stack
+        self.shape = stack.shape
     def __len__(self):
         return len(self.stack)
     def __getitem__(self, i):
