@@ -118,6 +118,11 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.shape[1] < 2:
         raise ValueError("CSV needs at least one feature column plus the label")
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():
+        with open(path) as fh:  # np.loadtxt skips a line left empty once "#" comments go
+            lines = [i for i, text in enumerate(fh, 1) if text.split("#")[0].rstrip("\n")]
+        raise ValueError(f"{path} line {lines[np.argmax(bad)]} holds a non-finite value")
     labels = raw[:, -1]
     if not np.all(labels == np.floor(labels)):
         raise ValueError("label column must be integral")
@@ -127,19 +132,16 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
 
 
 def largest_remainder(reals, total: int) -> np.ndarray:
-    """Round non-negative reals to integers preserving their sum exactly.
+    """Round non-negative reals that sum to `total` to integers that sum to it exactly.
 
     Floor everything, then hand out the remaining units by descending
-    fractional part (ties to the lower index).
+    fractional part (ties to the lower index); floors above `total` raise.
     """
     reals = np.asarray(reals, dtype=np.float64)
     counts = np.floor(reals).astype(np.int64)
     remaining = int(total) - int(counts.sum())
     if remaining < 0:
-        # Floating-point drift pushed a floor too high; trim the largest entries.
-        for i in np.argsort(-counts, kind="stable")[: -remaining]:
-            counts[i] -= 1
-        remaining = 0
+        raise ValueError(f"reals sum above total {total}")
     order = np.argsort(-(reals - np.floor(reals)), kind="stable")
     for i in order[:remaining]:
         counts[i] += 1

@@ -15,12 +15,12 @@ have the same row count, on those rows only; the elementwise work, the softmax
 and the parameter update run once per step on stacks of the group's clients,
 padded to the step's largest batch. Padded rows are scratch: no product or sum
 reads one into a real row. Each step's update is formed in place in the
-gradient stack, so a member holds its parameters, its gradient and (SCAFFOLD)
-its gradient correction. Every client's update is bit-equal to training it
-alone, in a group of one. A group holds as many clients as fit `GROUP_BYTES` of
-stacked parameters, so a model too large for two trains one client at a time.
-A SCAFFOLD client's new control variate is derived again when the round is
-aggregated, so no update stores it.
+gradient stack, so a member holds its parameters, its gradient, (SCAFFOLD) its
+gradient correction, and per layer one activation and one delta stack. Every
+client's update is bit-equal to training it alone, in a group of one. A group
+holds as many clients as fit `GROUP_BYTES` of stacked parameters, so a model
+too large for two trains one client at a time. A SCAFFOLD client's new control
+variate is derived again when the round is aggregated, so no update stores it.
 """
 
 from __future__ import annotations
@@ -220,13 +220,13 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     steps left there, and only row-wise operations touch them. A step's
     update, (grad + correction) * lr, is formed in the gradient stack, which
     the next step rewrites whole before reading it, so a member holds its
-    parameters, its gradient and (SCAFFOLD) its correction while it trains,
-    and its result holds its parameters. A SCAFFOLD member's new control is
-    formed in its gradient row, dead after the last step, and only checked
-    for finiteness. Each client's result is bit-equal to training it alone:
-    no operation mixes two members' values, so a diverged member keeps
-    stepping beside the others and is dropped at the end, with `None` in its
-    place.
+    parameters, its gradient, (SCAFFOLD) its correction, and per layer one
+    activation and one delta stack while it trains, and its result holds its
+    parameters. A SCAFFOLD member's new control is formed in its gradient
+    row, dead after the last step, and only checked for finiteness. Each
+    client's result is bit-equal to training it alone: no operation mixes two
+    members' values, so a diverged member keeps stepping beside the others
+    and is dropped at the end, with `None` in its place.
     """
     spec = global_params.spec
     shapes = spec.layer_shapes
@@ -244,10 +244,9 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     weights, biases = zip(*unpack_params(values, spec))
     grad_weights, grad_biases = zip(*unpack_params(grad, spec))
     x_buf = np.empty((g, width, spec.input_dim))
-    # Zeros keep padded rows finite while a member's real rows are: padded
-    # logits reach the summed loss below.
-    z_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]  # forward GEMM outputs
-    a_bufs = [np.empty((g, width, fo)) for _, fo in shapes]  # after bias (and ReLU)
+    # GEMM outputs, biased (and ReLU'd) in place. Padded rows hold zeros or old
+    # activations plus biases: finite while real rows are, as the bound needs.
+    a_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]
     d_bufs = [np.zeros((g, width, fo)) for _, fo in shapes]  # backprop deltas
     denom = np.empty((g, 1, 1))  # each member's row count
     if scaffold:
@@ -277,7 +276,7 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
                 denom[r] = m
             grid = (np.arange(active)[:, None], np.arange(span))
             xs = x_buf[:active]
-            zs, acts, ds = ([buf[:active, :span] for buf in bufs] for bufs in (z_bufs, a_bufs, d_bufs))
+            acts, ds = ([buf[:active, :span] for buf in bufs] for bufs in (a_bufs, d_bufs))
             bs = [b[:active, None, :] for b in biases]
             den = denom[:active]
             vals, grads = values[:active], grad[:active]
@@ -285,8 +284,8 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
         np.take(table_x, rows[t, :active], axis=0, out=xs)
         for li in range(last + 1):
             for r, m in runs:
-                np.matmul(ins[li][r, :m], weights[li][r], out=z_bufs[li][r, :m])
-            np.add(zs[li], bs[li], out=acts[li])
+                np.matmul(ins[li][r, :m], weights[li][r], out=a_bufs[li][r, :m])
+            acts[li] += bs[li]
             if li < last:
                 np.maximum(acts[li], 0.0, out=acts[li])
         logp = log_softmax(acts[last])
@@ -537,7 +536,7 @@ def run_round(
 
     if ledger is not None:
         model_bytes = snapshot.spec.num_params * metrics_mod.BYTES_PER_PARAM
-        ledger.record_round(plan, model_bytes, cfg.algorithm)
+        ledger.add(metrics_mod.comm_cost_step(plan, model_bytes, cfg.algorithm))
 
     entropy = metrics_mod.sample_relative_entropy(
         plan, [c.data for c in clients], dataset.labels, dataset.num_classes

@@ -47,6 +47,7 @@ from .metrics import (
     BYTES_PER_PARAM,
     CostLedger,
     RoundMetrics,
+    one_time_cost,
     read_metrics_csv,
     rounds_to_target,
     write_metrics_csv,
@@ -362,7 +363,7 @@ def preprocess(
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
 
     if ledger is not None:
-        ledger.record_one_time(len(clients), len(public), public.dim, dataset.num_classes)
+        ledger.add(one_time_cost(len(clients), len(public), public.dim, dataset.num_classes))
     return PreprocessResult(matrix, assignment, updates)
 
 

@@ -84,7 +84,7 @@ def one_time_cost(
 class CostLedger:
     """Running byte totals of a run, which never decrease.
 
-    Each record adds its `total_bytes` to `total` and its `one_time_bytes` to
+    `add` adds a record's `total_bytes` to `total` and its `one_time_bytes` to
     `one_time_total`; the records themselves are not kept.
     """
 
@@ -96,34 +96,14 @@ class CostLedger:
     def recurring_total(self) -> int:
         return self.total - self.one_time_total
 
-    def _add(self, rec: CostRecord) -> CostRecord:
+    def add(self, rec: CostRecord) -> None:
         self.total += rec.total_bytes
         self.one_time_total += rec.one_time_bytes
-        return rec
-
-    def record_round(self, plan: SamplingPlan, model_bytes: int, algorithm: str) -> CostRecord:
-        return self._add(comm_cost_step(plan, model_bytes, algorithm))
-
-    def record_one_time(
-        self, num_clients: int, public_count: int, public_dim: int, num_classes: int
-    ) -> CostRecord:
-        return self._add(one_time_cost(num_clients, public_count, public_dim, num_classes))
-
-
-def label_histogram(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    return np.bincount(labels, minlength=num_classes)
-
-
-def _partition_lists(partition) -> list[np.ndarray]:
-    if hasattr(partition, "assignment"):
-        return partition.assignment
-    return [np.asarray(a, dtype=np.int64) for a in partition]
 
 
 def sample_relative_entropy(plan: SamplingPlan, partition, labels, num_classes: int) -> float:
     """KL of the sampled clients' pooled label mix from the global label mix."""
-    lists = _partition_lists(partition)
+    lists = [np.asarray(a, dtype=np.int64) for a in getattr(partition, "assignment", partition)]
     if plan.budget == 0:
         raise ValueError("empty sampling plan")
     labels = np.asarray(labels, dtype=np.int64)
@@ -131,8 +111,8 @@ def sample_relative_entropy(plan: SamplingPlan, partition, labels, num_classes: 
     if sampled.size == 0:
         raise ValueError("sampled clients hold no data")
     everything = np.concatenate(lists)
-    sample_hist = label_histogram(labels[sampled], num_classes)
-    global_hist = label_histogram(labels[everything], num_classes)
+    sample_hist = np.bincount(labels[sampled], minlength=num_classes)
+    global_hist = np.bincount(labels[everything], minlength=num_classes)
     return kl_divergence(sample_hist / sample_hist.sum(), global_hist / global_hist.sum())
 
 
@@ -232,7 +212,8 @@ def read_metrics_csv(path) -> list[RoundMetrics]:
     """Rows written by `write_metrics_csv`.
 
     A file lacking any of its columns, or a row with fewer or more fields than
-    the header, is a ValueError naming the file (and the line).
+    the header or a field that is not a number, is a ValueError naming the
+    file (and the line).
     """
     rows = []
     with open(path, newline="") as fh:
@@ -244,13 +225,9 @@ def read_metrics_csv(path) -> list[RoundMetrics]:
             # DictReader keys a row's extra fields by None and fills missing ones with None.
             if None in rec or None in rec.values():
                 raise ValueError(f"{path} line {reader.line_num} does not have one field per column")
-            rows.append(
-                RoundMetrics(
-                    round=int(rec["round"]),
-                    test_accuracy=float(rec["test_accuracy"]),
-                    test_loss=float(rec["test_loss"]),
-                    sample_relative_entropy=float(rec["sample_relative_entropy"]),
-                    cumulative_bytes=int(rec["cumulative_bytes"]),
-                )
-            )
+            fields = [rec[f] for f in METRICS_FIELDS]
+            try:
+                rows.append(RoundMetrics(int(fields[0]), *map(float, fields[1:4]), int(fields[4])))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return rows

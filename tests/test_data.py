@@ -69,6 +69,14 @@ def test_largest_remainder_conserves_total():
         assert np.all(counts >= 0)
 
 
+def test_largest_remainder_rejects_reals_that_sum_above_total():
+    # Neither caller can pass these: their floors alone exceed the total.
+    with pytest.raises(ValueError, match="above total 3"):
+        largest_remainder([2.0, 2.0], 3)
+    with pytest.raises(ValueError, match="above total 0"):
+        largest_remainder([0.5, 1.0], 0)
+
+
 def test_dirichlet_partition_conserves_each_class():
     ds = synth_blobs(4, 3, 25, 1.0, seed=2)
     part = partition_dirichlet(ds, 10, beta=0.5, seed=11)

@@ -439,6 +439,30 @@ def test_train_clients_schedule_memory_per_scheduled_row():
     assert peak / (epochs * n_clients * rows) < 21
 
 
+def test_train_clients_holds_one_activation_stack_per_layer():
+    # One group of 18 [24, 256, 3] clients, batches of 64: each hidden-layer
+    # stack of (clients, rows, 256) floats is 2.36 MB and dominates the peak.
+    # The stacked activations and deltas, parameters and gradients read 3.37
+    # stacks; a second forward stack, for the GEMM outputs before the bias,
+    # read 4.39.
+    spec = ModelSpec((24, 256, 3))
+    size = engine_mod.GROUP_BYTES // (8 * spec.num_params)
+    assert size == 18
+    rows, cfg = 128, TrainConfig(epochs=1, batch_size=64, lr=0.05)
+    ds = synth_blobs(3, 24, -(-size * rows // 3), 1.0, seed=0)
+    order = np.random.default_rng(0).permutation(len(ds))
+    clients = [ClientState(i, order[i * rows : (i + 1) * rows]) for i in range(size)]
+    g = init_params(spec, 0)
+    tracemalloc.start()
+    try:
+        updates = train_clients(clients, ds, g, cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(u is not None for u in updates)
+    assert peak / (8 * size * cfg.batch_size * 256) < 3.9
+
+
 def test_train_clients_checks_each_group_once(monkeypatch):
     # Twelve clients as one lockstep group, then one client per group: the
     # rows are validated in one call per group, and a non-finite row in one

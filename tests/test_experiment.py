@@ -439,6 +439,28 @@ def test_cli_rejects_unbuildable_csv_before_any_output(tmp_path, capsys, header,
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("split", ["test_csv_path", "csv_path"])
+def test_cli_rejects_a_non_finite_csv_feature_before_any_output(tmp_path, capsys, split):
+    # Unchecked, a nan in the test file reaches every row of metrics.csv as
+    # test_loss=nan, and an inf in a training row fails in training, without
+    # the file's name, after config.json is written.
+    ds = synth_blobs(3, 4, 10, 1.0, seed=3)
+    clean = np.column_stack([ds.features, ds.labels])
+    bad = clean.copy()
+    bad[4, 1] = np.nan if split == "test_csv_path" else np.inf
+    paths = {"csv_path": tmp_path / "train.csv", "test_csv_path": tmp_path / "test.csv"}
+    for key, path in paths.items():
+        np.savetxt(path, bad if key == split else clean, delimiter=",", fmt="%.17g")
+    cfg = _tiny_config(tmp_path, **{key: str(path) for key, path in paths.items()}).to_dict()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {paths[split]} line 5 holds a non-finite value\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_reports_a_config_too_large_to_allocate_before_any_output(tmp_path, capsys):
     # The (3, 10**15) float64 class means need 21.3 PiB, more than any address
     # space, so numpy refuses them before allocating anything.
@@ -495,6 +517,17 @@ def test_cli_compare_names_a_metrics_row_without_one_field_per_column(tmp_path, 
     (bad / "metrics.csv").write_text(f"{header}\n{row}\n")
     err = _compare_error(good, bad, capsys)
     assert f"{bad / 'metrics.csv'} line 2 " in err
+
+
+def test_cli_compare_names_the_line_of_a_non_numeric_metrics_field(tmp_path, capsys):
+    good = run_experiment(_tiny_config(tmp_path, name="good"))
+    bad = run_experiment(_tiny_config(tmp_path, name="bad"))
+    header, first, *_ = (bad / "metrics.csv").read_text().splitlines()
+    row = first.split(",")
+    row[1] = "abc"
+    (bad / "metrics.csv").write_text(f"{header}\n{first}\n{','.join(row)}\n")
+    err = _compare_error(good, bad, capsys)
+    assert f"{bad / 'metrics.csv'} line 3: " in err and "'abc'" in err
 
 
 def test_cli_compare_rejects_summary_that_is_not_an_object(tmp_path, capsys):

@@ -197,10 +197,10 @@ def test_one_time_cost_formula():
 
 def test_ledger_cumulative_monotone_and_decomposes():
     ledger = CostLedger()
-    ledger.record_one_time(10, 100, 4, 3)
+    ledger.add(one_time_cost(10, 100, 4, 3))
     prev = 0
     for r in range(1, 6):
-        ledger.record_round(_plan(range(4), r), model_bytes=500, algorithm="fedavg")
+        ledger.add(comm_cost_step(_plan(range(4), r), model_bytes=500, algorithm="fedavg"))
         assert ledger.total >= prev
         prev = ledger.total
     assert ledger.total == ledger.one_time_total + ledger.recurring_total
