@@ -114,10 +114,13 @@ def synth_public(dim: int, count: int, seed) -> PublicDataset:
 
 
 def load_csv(path, num_classes: int | None = None) -> Dataset:
-    """Headerless CSV with real feature columns followed by one integer label."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Headerless CSV with real feature columns followed by one integer label; errors name `path`."""
+    try:
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if raw.shape[1] < 2:
-        raise ValueError("CSV needs at least one feature column plus the label")
+        raise ValueError(f"{path} needs at least one feature column plus the label")
     bad = ~np.isfinite(raw).all(axis=1)
     if bad.any():
         with open(path) as fh:  # np.loadtxt skips a line left empty once "#" comments go
@@ -125,7 +128,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         raise ValueError(f"{path} line {lines[np.argmax(bad)]} holds a non-finite value")
     labels = raw[:, -1]
     if not np.all(labels == np.floor(labels)):
-        raise ValueError("label column must be integral")
+        raise ValueError(f"{path}: label column must be integral")
     labels = labels.astype(np.int64)
     k = int(labels.max()) + 1 if num_classes is None else num_classes
     return Dataset(raw[:, :-1], labels, k)
@@ -135,13 +138,16 @@ def largest_remainder(reals, total: int) -> np.ndarray:
     """Round non-negative reals that sum to `total` to integers that sum to it exactly.
 
     Floor everything, then hand out the remaining units by descending
-    fractional part (ties to the lower index); floors above `total` raise.
+    fractional part (ties to the lower index), at most one unit each. Floors
+    above `total`, or more units left than entries, raise.
     """
     reals = np.asarray(reals, dtype=np.float64)
     counts = np.floor(reals).astype(np.int64)
     remaining = int(total) - int(counts.sum())
     if remaining < 0:
         raise ValueError(f"reals sum above total {total}")
+    if remaining > counts.size:
+        raise ValueError(f"reals sum below total {total}")
     order = np.argsort(-(reals - np.floor(reals)), kind="stable")
     for i in order[:remaining]:
         counts[i] += 1

@@ -69,7 +69,8 @@ logger = logging.getLogger(__name__)
 SAMPLERS = ("uniform", "stratified")
 PARTITIONS = ("dirichlet", "quantity", "manual")
 
-# Sub-stream salts so every random source is independent of the others.
+# Set-up salts, not independent of the rounds (ROADMAP item 12): SeedSequence ignores
+# trailing zero words, so [seed, s] also seeds uniform round s and client 0's round-s batches.
 _TRAIN_SALT, _TEST_SALT, _PUBLIC_SALT, _INIT_SALT, _PARTITION_SALT, _KMEANS_SALT = range(1, 7)
 
 
@@ -353,9 +354,6 @@ def preprocess(
     clustered. The one-time probe download and soft-label upload go on
     `ledger` if given.
     """
-    if len(public) < 1:
-        raise ValueError("public dataset is empty")
-
     updates = train_clients(clients, dataset, server.global_params, cfg, 1, server.server_control)
     models = [server.global_params if u is None else u.new_params for u in updates]
     matrix = build_similarity_matrix(ProbePredictions(models, public.features))
@@ -393,15 +391,10 @@ def _build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         cfg.spread,
         [cfg.seed, _TRAIN_SALT],
     )
-    block = cfg.per_class + cfg.test_per_class
-    train_idx, test_idx = [], []
-    for k in range(cfg.num_classes):
-        start = k * block
-        train_idx.extend(range(start, start + cfg.per_class))
-        test_idx.extend(range(start + cfg.per_class, start + block))
+    train = np.arange(len(pool)) % (cfg.per_class + cfg.test_per_class) < cfg.per_class
     return (
-        Dataset(pool.features[train_idx], pool.labels[train_idx], cfg.num_classes),
-        Dataset(pool.features[test_idx], pool.labels[test_idx], cfg.num_classes),
+        Dataset(pool.features[train], pool.labels[train], cfg.num_classes),
+        Dataset(pool.features[~train], pool.labels[~train], cfg.num_classes),
     )
 
 

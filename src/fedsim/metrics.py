@@ -35,7 +35,6 @@ class RoundMetrics:
 class CostRecord:
     """One entry of parameter traffic: a round's, or the clustering pass's one-time bytes."""
 
-    round: int
     per_client_down_bytes: int
     per_client_up_bytes: int
     num_clients: int
@@ -58,7 +57,6 @@ def comm_cost_step(plan: SamplingPlan, model_bytes: int, algorithm: str) -> Cost
     factor = 2 if algorithm == "scaffold" else 1
     per_client = factor * int(model_bytes)
     return CostRecord(
-        round=plan.round,
         per_client_down_bytes=per_client,
         per_client_up_bytes=per_client,
         num_clients=plan.budget,
@@ -73,7 +71,6 @@ def one_time_cost(
     public_bytes = public_count * public_dim * BYTES_PER_FEATURE
     soft_bytes = public_count * num_classes * BYTES_PER_FEATURE
     return CostRecord(
-        round=1,
         per_client_down_bytes=0,
         per_client_up_bytes=0,
         num_clients=num_clients,

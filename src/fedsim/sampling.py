@@ -32,17 +32,13 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations per restart
 # one n x n array and O(n * (SIM_DEPTH + SIM_TILE)) floats of buffers.
 SIM_TILE = 32
 SIM_DEPTH = 256
-# Soft-label values per block of whole clients that `build_similarity_matrix`
-# checks at once (at least one client). At 1000 x 200 x 20 this took 17 ms
-# against 45 ms client by client; 2**16 values were no faster and held 0.25 MB
-# more.
-CHECK_BLOCK_VALUES = 1 << 15
 # Clients per set, four tiles: `_cross_term` floors a column chunk one set at
-# a time, and a streamed build gathers its probe rows into one buffer per set.
-# At 1000 x 200 x 20, one 10 MB buffer for all clients raised glibc's mmap
-# threshold when it was freed, and 18 MB of freed heap then stayed resident to
-# the end of the run; 1.3 MB set buffers leave the heap to be trimmed.
-CLIENT_SET = CHECK_BLOCK_VALUES // SIM_DEPTH
+# a time, a streamed build gathers its probe rows into one buffer per set, and
+# the build checks one set's soft labels at a time. At 1000 x 200 x 20, one
+# 10 MB buffer for all clients raised glibc's mmap threshold when it was freed,
+# and 18 MB of freed heap then stayed resident to the end of the run; 1.3 MB
+# set buffers leave the heap to be trimmed.
+CLIENT_SET = 128
 # Most probe-row groups a streamed similarity build takes (`_probe_group_rows`).
 # Each group recomputes every client's probe logits: at 1000 x 200 x 20 the
 # probe predictions took about 170 ms in 4 groups against 85 ms at once, and
@@ -153,11 +149,10 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     once by `np.asarray(..., dtype=np.float64)` and read as one group: a
     float64 array in place, never written.
 
-    Each group is checked one block of whole clients, at most
-    `CHECK_BLOCK_VALUES` values, at a time. After a bad client no group is
-    multiplied, but later groups are still checked for a lower-numbered one,
-    and the lowest is named in `_check_distribution`'s words: the same client
-    and message as for the whole array.
+    Each group is checked one client set at a time. After a bad client no
+    group is multiplied, but later groups are still checked for a
+    lower-numbered one, and the lowest is named in `_check_distribution`'s
+    words: the same client and message as for the whole array.
 
     Memory beside the input, in float64s: a streamed source's group buffers,
     the (n, n) accumulator, which becomes the result, and `_cross_term`'s
@@ -172,9 +167,6 @@ def build_similarity_matrix(soft_labels) -> np.ndarray:
     np.maximum(matrix, 0.0, out=matrix)
     np.fill_diagonal(matrix, 0.0)
     return matrix
-
-
-_RAGGED = "all soft-label sets must share the same (samples, classes) shape"
 
 
 def _probe_group_rows(n: int, samples: int, classes: int) -> int:
@@ -200,7 +192,7 @@ def _probe_groups(soft_labels):
     if not shape or shape[0] == 0:
         raise ValueError("need at least one soft-label set")
     if len(shape) != 3:
-        raise ValueError(_RAGGED)
+        raise ValueError("all soft-label sets must share the same (samples, classes) shape")
     n, samples, classes = shape
     if samples == 0:
         raise ValueError("need at least one probe sample per soft-label set")
@@ -222,25 +214,17 @@ def _streamed(fill, n: int, samples: int, classes: int):
         yield group
 
 
-def _first_bad_client(sets: list[np.ndarray], end: int) -> int:
-    """The lowest client below `end` that `_check_distribution` rejects, else `end`."""
-    for top, block in zip(range(0, end, CLIENT_SET), sets):
-        per_block = max(1, CHECK_BLOCK_VALUES // block[0].size)
-        for lo in range(0, min(len(block), end - top), per_block):
-            part = block[lo : min(lo + per_block, end - top)]
-            # NaN and negative entries fail `>= 0`, and +inf makes its row sum inf or NaN.
-            bad = ~(part >= 0).all(axis=(1, 2))
-            bad |= ~(np.abs(part.sum(axis=-1) - 1.0) <= 1e-9).all(axis=-1)
-            if bad.any():
-                return top + lo + int(np.argmax(bad))
-    return end
-
-
 def _checked(groups, soft_labels, n: int):
     """The probe-row groups up to the first with a bad client; then the error for the lowest one."""
     first = n
     for sets in groups:
-        first = _first_bad_client(sets, first)
+        for top, block in zip(range(0, first, CLIENT_SET), sets):
+            # NaN and negative entries fail `>= 0`, and +inf makes its row sum inf or NaN.
+            bad = ~(block >= 0).all(axis=(1, 2))
+            bad |= ~(np.abs(block.sum(axis=-1) - 1.0) <= 1e-9).all(axis=-1)
+            if bad.any():
+                first = min(first, top + int(np.argmax(bad)))
+                break
         if first == n:
             yield sets
     if first < n:
@@ -416,8 +400,6 @@ def stratified_sample(assign: ClusterAssignment, budget: int, round_idx: int, se
     rng = np.random.default_rng([_as_seed(seed), round_idx, 1])
     selected: list[int] = []
     for c in range(assign.k):
-        if quotas[c] == 0:
-            continue
         members = np.flatnonzero(assign.labels == c)
         selected.extend(rng.choice(members, size=int(quotas[c]), replace=False).tolist())
     return SamplingPlan(round_idx, np.asarray(selected), [int(q) for q in quotas])
@@ -538,22 +520,18 @@ def save_matrix_csv(matrix, path) -> None:
 
     The bytes are exactly those `np.savetxt(path, matrix, fmt="%.17g",
     delimiter=",")` writes: every value correctly rounded to 17 significant
-    digits, round-half-to-even, trailing zeros stripped. A 2-d float64 matrix
-    is written one block of about `CSV_BLOCK_VALUES` values (whole rows) at a
-    time. A block whose entries are all 0, -0.0 or finite with magnitude in
-    [1e-4, 1e15), the fixed-notation range of `%g` there, is formatted in
-    numpy integer arithmetic (`_format_fixed`); any other block (NaN, inf,
-    magnitudes below 1e-4 or from 1e15 up) and any other input go through
-    `np.savetxt` itself.
+    digits, round-half-to-even, trailing zeros stripped. `matrix` is a
+    non-empty 2-d float64 array, written one block of about `CSV_BLOCK_VALUES`
+    values (whole rows) at a time. A block whose entries are all 0, -0.0 or
+    finite with magnitude in [1e-4, 1e15), the fixed-notation range of `%g`
+    there, is formatted in numpy integer arithmetic (`_format_fixed`); any
+    other block (NaN, inf, magnitudes below 1e-4 or from 1e15 up) goes
+    through `np.savetxt` itself.
     """
-    a = np.asarray(matrix)
     with open(path, "wb") as fh:
-        if a.dtype != np.float64 or a.ndim != 2 or a.size == 0:
-            np.savetxt(fh, matrix, fmt="%.17g", delimiter=",")
-            return
-        step = max(1, CSV_BLOCK_VALUES // a.shape[1])
-        for lo in range(0, a.shape[0], step):
-            block = a[lo : lo + step]
+        step = max(1, CSV_BLOCK_VALUES // matrix.shape[1])
+        for lo in range(0, matrix.shape[0], step):
+            block = matrix[lo : lo + step]
             mag = np.abs(block)
             # NaN fails every comparison, inf the upper bound.
             if (((mag >= 1e-4) & (mag < 1e15)) | (mag == 0)).all():

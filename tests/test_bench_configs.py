@@ -1,6 +1,7 @@
 """Every benchmark workload's configs pass validation and build their data,
-each scores its test set in a pinned number of row blocks, and a traced
-pre-pass still feeds the benchmark's similarity metrics.
+each scores its test set in a pinned number of row blocks and keeps the
+pinned bytes of its run artifacts, and a traced pre-pass still feeds the
+benchmark's similarity metrics.
 
 `bench/workloads.py`, `bench/tracer.py` and `bench/worker.py` are loaded
 read-only from their files, so a config the validator rejects, or soft labels
@@ -65,16 +66,52 @@ def test_workload_configs_validate_and_build(workload, seed, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# sha256 of metrics.csv for wide-scaffold's seed-1 config cut to 2 rounds, taken
-# while `evaluate_global` scored the whole test set in one pass. It now scores
-# in 24 row blocks; every golden config scores in one.
-_WIDE_SCAFFOLD_SHA = "1f335bbcb6d7c31621ad9f3661d50e4fd03f06d471729a8c34e4f915ce0216b1"
+# Run artifacts whose bytes every workload config keeps, each pinned for its
+# seed-1 config cut to 2 rounds; None marks a file a uniform run does not write.
+# Wide-scaffold's metrics.csv hash was taken while `evaluate_global` scored
+# the whole test set in one pass; it now scores in 24 row blocks, and every
+# golden config scores in one.
+ARTIFACTS = ("metrics.csv", "similarity_matrix.csv", "clusters.json", "summary.json")
+_ARTIFACT_SHAS = {
+    "battery-stratified": (
+        "481618c73a917bfa2ac4858dd76410b7ad7c8d8dee81dfc8e13adff798f16524",
+        "b6e28b89bef08a7cf42b199a777a6a94d5082141df71cd63968c9b5fe01c1f85",
+        "a942fc7f7c1f4961eab4e8664516b743d9f925104fd12931091e368ea54b1d5c",
+        "fc5aac2fd4e0ef33febdfa01b64bfadbd4536a474b902ca5ce43f9c6af68beba",
+    ),
+    "battery-uniform": (
+        "73072addeca321b32bfac4bb4458234ebb6d89ed70bf5bc5e87e49c45e14f3a5",
+        None,
+        None,
+        "8be16c1688badf71721a2862b8d11e5f66dc7b31639c65ec3b8cb75aad1c508a",
+    ),
+    "cluster-scale-stratified": (
+        "39495f99a511b5be45e92f0c60f524e795a4efd85b82bdc7bbcab41a6e6e33e9",
+        "61eb2e03e1130d4ffe3796e808be47ad88158f7be1d2908c65a271b2935609ef",
+        "23f8e48ffc7d1926d15ee2c880a6942d7481f85a52d197561906fade184f3c02",
+        "f76216f2eea480e662986734a05f6223a295b67be042202265723eea600acc4d",
+    ),
+    "wide-scaffold-uniform": (
+        "1f335bbcb6d7c31621ad9f3661d50e4fd03f06d471729a8c34e4f915ce0216b1",
+        None,
+        None,
+        "f652183b1f4231a0fdb2ed8f7a02d742a5b90950b7dd19b704b85aedfa10a738",
+    ),
+}
 
 
-def test_multi_block_scoring_keeps_wide_scaffold_metrics_bytes(tmp_path):
-    ((_, raw),) = WORKLOADS["wide-scaffold"].configs(1, tmp_path.as_posix())
+@pytest.mark.parametrize(
+    "workload, role",
+    [(name, role) for name, w in sorted(WORKLOADS.items()) for role, _ in w.configs(1, "")],
+)
+def test_every_workload_config_keeps_its_artifact_bytes(workload, role, tmp_path):
+    raw = dict(WORKLOADS[workload].configs(1, tmp_path.as_posix()))[role]
     out = run_experiment(ExperimentConfig.from_dict({**raw, "rounds": 2}))
-    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == _WIDE_SCAFFOLD_SHA
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest() if (out / name).exists() else None
+        for name in ARTIFACTS
+    )
+    assert got == _ARTIFACT_SHAS[f"{workload}-{role}"]
 
 
 def test_traced_prepass_feeds_the_similarity_metrics_and_the_sweep(tmp_path, monkeypatch):

@@ -75,6 +75,9 @@ def test_largest_remainder_rejects_reals_that_sum_above_total():
         largest_remainder([2.0, 2.0], 3)
     with pytest.raises(ValueError, match="above total 0"):
         largest_remainder([0.5, 1.0], 0)
+    # Five units left for two entries: at most one each would sum to 2, not 5.
+    with pytest.raises(ValueError, match="below total 5"):
+        largest_remainder([0.1, 0.1], 5)
 
 
 def test_dirichlet_partition_conserves_each_class():

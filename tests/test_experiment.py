@@ -94,6 +94,29 @@ def test_rerun_from_echoed_config_reproduces(tmp_path):
     assert (out / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 12: uniform round r, client 0's round-r batches and the "
+    "[seed, r] setup salts draw one stream",
+)
+def test_every_random_source_draws_its_own_stream(tmp_path, monkeypatch):
+    # SeedSequence ignores trailing zero words, so [seed, r, 0] is [seed, r].
+    sites: dict[tuple, set] = {}
+    make = np.random.default_rng
+
+    def recording(seed=None):
+        caller = sys._getframe(1)
+        state = tuple(np.random.SeedSequence(seed).generate_state(4))
+        sites.setdefault(state, set()).add((caller.f_code.co_filename, caller.f_lineno))
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    run_experiment(_tiny_config(tmp_path, sample_ratio=1.0))
+    assert len(sites) > 4
+    assert {state: s for state, s in sites.items() if len(s) > 1} == {}
+
+
 def test_stratified_run_writes_cluster_artifacts(tmp_path):
     out = run_experiment(
         _tiny_config(tmp_path, sampler="stratified", name="lefl", rounds=3)
@@ -417,17 +440,24 @@ def test_cli_rejects_more_clients_than_samples_before_any_output(tmp_path, capsy
     assert not (tmp_path / "runs").exists()
 
 
+# A file's own fault is named with its path; "{path}" stands for it.
 @pytest.mark.parametrize(
-    "header, n_clients, message",
-    [("", 12, "more clients than samples"), ("f0,f1,label", 4, "could not convert string 'f0'")],
-    ids=["eight-rows-twelve-clients", "header-row"],
+    "header, label_shift, n_clients, message",
+    [
+        ("", 0.0, 12, "more clients than samples"),
+        ("f0,f1,label", 0.0, 4, "{path}: could not convert string 'f0'"),
+        ("", 0.5, 4, "{path}: label column must be integral"),
+    ],
+    ids=["eight-rows-twelve-clients", "header-row", "fractional-label"],
 )
-def test_cli_rejects_unbuildable_csv_before_any_output(tmp_path, capsys, header, n_clients, message):
+def test_cli_rejects_unbuildable_csv_before_any_output(
+    tmp_path, capsys, header, label_shift, n_clients, message
+):
     ds = synth_blobs(2, 2, 4, 1.0, seed=3)
     csv_path = tmp_path / "train.csv"
     np.savetxt(
-        csv_path, np.column_stack([ds.features, ds.labels]), delimiter=",", fmt="%.17g",
-        header=header, comments="",
+        csv_path, np.column_stack([ds.features, ds.labels + label_shift]), delimiter=",",
+        fmt="%.17g", header=header, comments="",
     )
     cfg = _tiny_config(tmp_path, csv_path=str(csv_path), n_clients=n_clients).to_dict()
     cfg_path = tmp_path / "cfg.json"
@@ -435,7 +465,8 @@ def test_cli_rejects_unbuildable_csv_before_any_output(tmp_path, capsys, header,
     rc = cli_main(["run", "--config", cfg_path.as_posix()])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message.format(path=csv_path) in err
     assert not (tmp_path / "runs").exists()
 
 

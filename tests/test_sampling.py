@@ -28,7 +28,6 @@ from fedsim import (
 )
 from fedsim.mlp import PROB_FLOOR
 from fedsim.sampling import (
-    CHECK_BLOCK_VALUES,
     CLIENT_SET,
     CSV_BLOCK_VALUES,
     KMEANS_MAX_ITER,
@@ -246,11 +245,10 @@ def test_similarity_scratch_is_one_log_chunk_and_one_row_group():
     n, samples, classes = 512, 100, 20
     stack = np.random.default_rng(15).dirichlet(np.ones(classes), size=(n, samples))
     pad = -(-n // SIM_TILE) * SIM_TILE
-    group = CHECK_BLOCK_VALUES // SIM_DEPTH
-    assert group % SIM_TILE == 0
+    assert CLIENT_SET % SIM_TILE == 0
     bound = 8 * (
         pad * SIM_DEPTH  # log P of one column chunk, every client
-        + 2 * group * SIM_DEPTH  # one row group's floored operand and its divisors
+        + 2 * CLIENT_SET * SIM_DEPTH  # one client set's floored operand and its divisors
         + SIM_TILE * pad  # one block row of tile products
     ) + 2**18
     tracemalloc.start()
@@ -302,14 +300,12 @@ def _spoil(row: np.ndarray, kind: str) -> None:
         row[0] += 1e-6
 
 
-# 1024 values per client make blocks of 32 clients: the first and last client
-# of the first block, the first of the second, and the last client in a short
-# last block.
-@pytest.mark.parametrize("client", [0, 31, 32, 69])
+# Clients 0, 31, 32 and 69 of one short client set; client CLIENT_SET + 7 in
+# the second of three sets, with the third set's last client also bad.
+@pytest.mark.parametrize("client", [0, 31, 32, 69, CLIENT_SET + 7])
 @pytest.mark.parametrize("kind", sorted(_MESSAGES))
 def test_similarity_names_the_first_bad_client(client, kind):
-    n = 70
-    assert CHECK_BLOCK_VALUES // (128 * 8) == 32
+    n = 70 if client < 70 else 2 * CLIENT_SET + 5
     stack = np.random.default_rng(18).dirichlet(np.ones(8), size=(n, 128))
     _spoil(stack[client, 3], kind)
     if client + 1 < n:
@@ -325,8 +321,7 @@ def test_similarity_checks_valid_input_without_per_client_calls(monkeypatch):
     monkeypatch.setattr(
         fedsim.sampling, "_check_distribution", lambda *a: calls.append(a) or check(*a)
     )
-    stack = np.random.default_rng(19).dirichlet(np.ones(5), size=(97, 1000))
-    assert stack.size > 3 * CHECK_BLOCK_VALUES
+    stack = np.random.default_rng(19).dirichlet(np.ones(5), size=(2 * CLIENT_SET + 5, 100))
     build_similarity_matrix(stack)
     assert calls == []
 
