@@ -33,7 +33,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .data import Dataset, Partition
 from .mlp import (
     ModelParams,
@@ -492,20 +491,17 @@ def run_round(
     plan: SamplingPlan,
     cfg: TrainConfig,
     *,
-    ledger: metrics_mod.CostLedger | None = None,
     updates: list[LocalUpdate | None] | None = None,
-) -> tuple[ServerState, metrics_mod.RoundMetrics]:
+) -> tuple[ServerState, list[int]]:
     """Train the sampled clients from one global snapshot and aggregate.
 
-    Pre-computed `updates` (e.g. from the clustering pre-pass) hold one entry
-    per client, in client-id order, `None` for a dropped client; they skip the
-    training step but go through identical aggregation and accounting, so
-    they must come from `server` and the clients' current controls. With
-    SCAFFOLD, `aggregate_scaffold` installs each trained client's new control
-    as it derives it. The
-    round's accuracy and loss are nan: callers score the new global model with
-    `metrics.evaluate_global`, as `run_experiment` does while the next round
-    trains.
+    Returns the new server state and the ascending ids of the clients whose
+    updates it aggregated; `run_experiment` scores and charges the round.
+    Pre-computed `updates` (from the clustering pre-pass) hold one entry per
+    client, in client-id order, `None` for a dropped client; they replace
+    training but not aggregation, so they must come from `server` and the
+    clients' current controls. With SCAFFOLD, `aggregate_scaffold` installs
+    each trained client's new control as it derives it.
     """
     if plan.budget == 0:
         raise ValueError("empty sampling plan")
@@ -534,19 +530,5 @@ def run_round(
     else:
         new_global = aggregate_fedavg(accepted)
 
-    if ledger is not None:
-        model_bytes = snapshot.spec.num_params * metrics_mod.BYTES_PER_PARAM
-        ledger.add(metrics_mod.comm_cost_step(plan, model_bytes, cfg.algorithm))
-
-    entropy = metrics_mod.sample_relative_entropy(
-        plan, [c.data for c in clients], dataset.labels, dataset.num_classes
-    )
     new_server = ServerState(new_global, new_control, round_idx, server.rng_seed)
-    rm = metrics_mod.RoundMetrics(
-        round=round_idx,
-        test_accuracy=math.nan,
-        test_loss=math.nan,
-        sample_relative_entropy=entropy,
-        cumulative_bytes=ledger.total if ledger is not None else 0,
-    )
-    return new_server, rm
+    return new_server, [u.client_id for u in accepted]

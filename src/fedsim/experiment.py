@@ -9,7 +9,6 @@ reproduces the rounds-to-target / byte-delta comparison across directories.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import json
 import logging
@@ -47,6 +46,7 @@ from .metrics import (
     BYTES_PER_PARAM,
     CostLedger,
     RoundMetrics,
+    comm_cost_step,
     one_time_cost,
     read_metrics_csv,
     rounds_to_target,
@@ -336,7 +336,6 @@ def preprocess(
     cfg: TrainConfig,
     *,
     cluster_k: int | None = None,
-    ledger: CostLedger | None = None,
 ) -> PreprocessResult:
     """One-time clustering pass, run between the first and second rounds.
 
@@ -351,17 +350,13 @@ def preprocess(
     per client, in client-id order, ready for `run_round`. A client dropped
     for divergence has `None` there, as in any round, and keeps the global
     model it was sent: its soft labels are that model's, so it is still
-    clustered. The one-time probe download and soft-label upload go on
-    `ledger` if given.
+    clustered.
     """
     updates = train_clients(clients, dataset, server.global_params, cfg, 1, server.server_control)
     models = [server.global_params if u is None else u.new_params for u in updates]
     matrix = build_similarity_matrix(ProbePredictions(models, public.features))
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
-
-    if ledger is not None:
-        ledger.add(one_time_cost(len(clients), len(public), public.dim, dataset.num_classes))
     return PreprocessResult(matrix, assignment, updates)
 
 
@@ -407,12 +402,11 @@ def _build_partition(cfg: ExperimentConfig, train: Dataset) -> Partition:
     return partition_manual(train, cfg.manual_groups)
 
 
-def _collect_score(rm: RoundMetrics, scoring: Future) -> None:
-    """Fill a round's accuracy and loss from its scoring future."""
-    rm.test_accuracy, rm.test_loss = scoring.result()
-    logger.debug(
-        "round %d: accuracy=%.4f entropy=%.4f", rm.round, rm.test_accuracy, rm.sample_relative_entropy
-    )
+def _round_metrics(r: int, entropy: float, total_bytes: int, scoring: Future) -> RoundMetrics:
+    """Round r's record, once its scoring future holds the accuracy and loss."""
+    accuracy, loss = scoring.result()
+    logger.debug("round %d: accuracy=%.4f entropy=%.4f", r, accuracy, entropy)
+    return RoundMetrics(r, accuracy, loss, entropy, total_bytes)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -439,21 +433,22 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
 
+    model_bytes = spec.num_params * BYTES_PER_PARAM
     ledger = CostLedger()
     history = []
     assignment = updates = None
     if cfg.sampler == "stratified":
-        pre = preprocess(clients, train, public, server, tc, cluster_k=cfg.cluster_k, ledger=ledger)
+        pre = preprocess(clients, train, public, server, tc, cluster_k=cfg.cluster_k)
+        ledger.add(one_time_cost(cfg.n_clients, len(public), public.dim, train.num_classes))
         pre.assignment.save_json(out / "clusters.json")
         save_matrix_csv(pre.matrix, out / "similarity_matrix.csv")
         # The rounds read only the assignment; the matrix is freed with `pre`.
         assignment, updates = pre.assignment, pre.updates
         del pre
     # Round r is scored on the worker thread while round r + 1 trains; its
-    # score is collected before round r + 1's is submitted. The worker runs in
-    # a copy of the caller's context, so the caller's np.errstate holds there.
+    # record is built before round r + 1's score is submitted.
     with ThreadPoolExecutor(max_workers=1) as scorer:
-        scoring = None
+        pending = None  # the last round's _round_metrics arguments
         for r in range(1, cfg.rounds + 1):
             if assignment is None or (r == 1 and cfg.round1_participation == "sampled"):
                 plan = uniform_sample(cfg.n_clients, cfg.budget, r, cfg.seed)
@@ -463,15 +458,17 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 plan = stratified_sample(assignment, cfg.budget, r, cfg.seed)
             # Round 1 aggregates the pre-pass's local training (same seeds)
             # instead of retraining; nothing reads those updates afterwards.
-            server, rm = run_round(server, clients, train, plan, tc, ledger=ledger, updates=updates)
+            server, _ = run_round(server, clients, train, plan, tc, updates=updates)
             updates = None
-            if scoring is not None:
-                _collect_score(history[-1], scoring)
-            history.append(rm)
-            scoring = scorer.submit(
-                contextvars.copy_context().run, metrics_mod.evaluate_global, server.global_params, test
+            ledger.add(comm_cost_step(plan, model_bytes, cfg.algorithm))
+            entropy = metrics_mod.sample_relative_entropy(
+                plan, partition, train.labels, train.num_classes
             )
-        _collect_score(history[-1], scoring)
+            if pending is not None:
+                history.append(_round_metrics(*pending))
+            scoring = scorer.submit(metrics_mod.evaluate_global, server.global_params, test)
+            pending = (r, entropy, ledger.total, scoring)
+        history.append(_round_metrics(*pending))
 
     write_metrics_csv(history, out / "metrics.csv")
 
@@ -485,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "n_clients": cfg.n_clients,
         "budget": cfg.budget,
         "model_params": spec.num_params,
-        "model_bytes": spec.num_params * BYTES_PER_PARAM,
+        "model_bytes": model_bytes,
         "final_accuracy": history[-1].test_accuracy,
         "final_loss": history[-1].test_loss,
         "total_bytes": ledger.total,

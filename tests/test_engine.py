@@ -891,15 +891,14 @@ def test_run_round_deterministic_and_increments_round():
     def once():
         local = [ClientState(c.id, c.data.copy()) for c in clients]
         server = ServerState(g)
-        s2, rm = run_round(server, local, ds, plan, cfg)
-        return s2, rm, evaluate_global(s2.global_params, ds)
+        s2, ids = run_round(server, local, ds, plan, cfg)
+        return s2, ids, evaluate_global(s2.global_params, ds)
 
-    a_server, a_rm, a_score = once()
-    b_server, b_rm, b_score = once()
+    a_server, a_ids, a_score = once()
+    b_server, b_ids, b_score = once()
     assert a_server.round == 1
     assert np.array_equal(a_server.global_params.values, b_server.global_params.values)
-    assert math.isnan(a_rm.test_accuracy) and math.isnan(a_rm.test_loss)
-    assert a_rm.sample_relative_entropy == b_rm.sample_relative_entropy
+    assert a_ids == b_ids == plan.selected.tolist()
     assert a_score == b_score
 
 
@@ -934,8 +933,9 @@ def test_run_round_drops_divergent_client(caplog):
         train_clients([clients[i]], ds_bad, g, cfg, round_idx=1)[0] for i in (1, 2)
     ]
     with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
-        server2, _ = run_round(ServerState(g), clients, ds_bad, plan, cfg)
+        server2, ids = run_round(ServerState(g), clients, ds_bad, plan, cfg)
     assert "dropping update" in caplog.text
+    assert ids == [1, 2]
     expected = aggregate_fedavg(healthy)
     assert np.array_equal(server2.global_params.values, expected.values)
 
@@ -946,7 +946,8 @@ def test_run_round_survives_total_divergence(caplog):
     cfg = TrainConfig(epochs=1, batch_size=4, lr=0.05)
     plan = SamplingPlan(1, np.arange(2))
     with caplog.at_level(logging.WARNING), np.errstate(all="ignore"):
-        server2, rm = run_round(ServerState(g), clients, bad, plan, cfg)
+        server2, ids = run_round(ServerState(g), clients, bad, plan, cfg)
+    assert ids == []
     assert np.array_equal(server2.global_params.values, g.values)
     assert server2.round == 1
 

@@ -664,13 +664,15 @@ def test_cli_reports_overflowing_probe_predictions_without_numpy_warnings(tmp_pa
     assert "Traceback" not in err and "Warning" not in err
 
 
-def test_overflowing_run_completes_under_the_callers_errstate(tmp_path):
-    # Rounds are scored on a worker thread. It must run under the caller's
-    # np.errstate, or pytest's error::RuntimeWarning filter stops the run.
+@pytest.mark.parametrize("errstate", [{"all": "ignore"}, {}], ids=["ignore", "default"])
+def test_overflowing_run_completes_under_the_callers_errstate(tmp_path, errstate):
+    # Rounds are scored on a worker thread, which does not see the caller's
+    # np.errstate. Scoring must ignore overflow itself, whatever that state,
+    # or pytest's error::RuntimeWarning filter stops the run.
     cfg = _tiny_config(
         tmp_path, n_clients=8, rounds=3, hidden_sizes=[8], batch_size=4, decay=1.0, lr=1e100,
     )
-    with np.errstate(all="ignore"):
+    with np.errstate(**errstate):
         out = run_experiment(cfg)
     assert [m.round for m in read_metrics_csv(out / "metrics.csv")] == [1, 2, 3]
 

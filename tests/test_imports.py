@@ -126,3 +126,33 @@ def test_every_private_helper_is_used():
             if not any(name in names for stmt, names in refs if stmt is not definition):
                 unused.append(f"{path.relative_to(ROOT)}:{definition.lineno}: {name}")
     assert unused == []
+
+
+# Each package module's imports of other package modules. The engine trains
+# and aggregates; scoring and byte accounting (`metrics`) are the runner's.
+LAYERS = {
+    "mlp": set(),
+    "data": set(),
+    "sampling": {"data", "mlp"},
+    "metrics": {"mlp", "sampling"},
+    "engine": {"data", "mlp", "sampling"},
+    "experiment": {"data", "engine", "metrics", "mlp", "sampling"},
+    "cli": {"experiment"},
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a module imports relatively (`from .x import` or `from . import x`)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_package_modules_import_only_their_lower_layers():
+    paths = [p for p in sorted(ROOT.glob("src/fedsim/*.py")) if p.stem != "__init__"]
+    assert {p.stem: _package_imports(p) for p in paths} == LAYERS
