@@ -1,4 +1,4 @@
-"""End-to-end run comparison with the cost ledger.
+"""End-to-end run comparison with its byte totals.
 
 Runs one uniform and one stratified experiment from the same seed, then uses
 compare_runs to report rounds-to-target and byte deltas, mirroring a

@@ -9,7 +9,6 @@ with per-round accuracy, relative-entropy, and communication-cost metrics.
 from .data import (
     Dataset,
     Partition,
-    PublicDataset,
     load_csv,
     partition_dirichlet,
     partition_manual,
@@ -38,7 +37,6 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import (
-    CostLedger,
     CostRecord,
     RoundMetrics,
     comm_cost_step,
@@ -64,7 +62,6 @@ __all__ = [
     "ClientState",
     "ClusterAssignment",
     "ConfigError",
-    "CostLedger",
     "CostRecord",
     "Dataset",
     "ExperimentConfig",
@@ -73,7 +70,6 @@ __all__ = [
     "ModelSpec",
     "Partition",
     "PreprocessResult",
-    "PublicDataset",
     "RoundMetrics",
     "SamplingPlan",
     "ServerState",

@@ -46,25 +46,6 @@ class Dataset:
 
 
 @dataclass
-class PublicDataset:
-    """Unlabeled probe samples shared by every client."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("public dataset must be a non-empty 2-d matrix")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass
 class Partition:
     """Per-client lists of sample indices; indices are disjoint across clients."""
 
@@ -104,13 +85,13 @@ def synth_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed)
     return Dataset(features, labels, num_classes)
 
 
-def synth_public(dim: int, count: int, seed) -> PublicDataset:
-    """Probe samples from a uniform cube shifted away from the blob cloud."""
+def synth_public(dim: int, count: int, seed) -> np.ndarray:
+    """A (count, dim) probe set drawn from a uniform cube shifted away from the blob cloud."""
     if count < 1 or dim < 1:
         raise ValueError("count and dim must be >= 1")
     rng = np.random.default_rng(seed)
     low, high = PUBLIC_RANGE
-    return PublicDataset(rng.uniform(low, high, size=(count, dim)))
+    return rng.uniform(low, high, size=(count, dim))
 
 
 def load_csv(path, num_classes: int | None = None) -> Dataset:
@@ -131,7 +112,10 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         raise ValueError(f"{path}: label column must be integral")
     labels = labels.astype(np.int64)
     k = int(labels.max()) + 1 if num_classes is None else num_classes
-    return Dataset(raw[:, :-1], labels, k)
+    try:
+        return Dataset(raw[:, :-1], labels, k)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def largest_remainder(reals, total: int) -> np.ndarray:

@@ -44,7 +44,6 @@ from .engine import (
 )
 from .metrics import (
     BYTES_PER_PARAM,
-    CostLedger,
     RoundMetrics,
     comm_cost_step,
     one_time_cost,
@@ -241,6 +240,8 @@ class ExperimentConfig:
             errors.append("spread: must be >= 0")
         if self.csv_path is not None and not (0 < self.test_fraction < 1):
             errors.append("test_fraction: must be in (0, 1)")
+        if self.test_csv_path is not None and self.csv_path is None:
+            errors.append("test_csv_path: needs csv_path; synthetic data makes its own test set")
         if self.partition not in PARTITIONS:
             errors.append(f"partition: must be one of {PARTITIONS}")
         if self.partition == "dirichlet" and self.beta <= 0:
@@ -331,7 +332,7 @@ class ProbePredictions:
 def preprocess(
     clients: list[ClientState],
     dataset: Dataset,
-    public,
+    public: np.ndarray,
     server: ServerState,
     cfg: TrainConfig,
     *,
@@ -354,7 +355,7 @@ def preprocess(
     """
     updates = train_clients(clients, dataset, server.global_params, cfg, 1, server.server_control)
     models = [server.global_params if u is None else u.new_params for u in updates]
-    matrix = build_similarity_matrix(ProbePredictions(models, public.features))
+    matrix = build_similarity_matrix(ProbePredictions(models, public))
     k = default_cluster_count(len(clients)) if cluster_k is None else cluster_k
     assignment = kmeans_cluster(matrix, k, [cfg.master_seed, _KMEANS_SALT])
     return PreprocessResult(matrix, assignment, updates)
@@ -375,7 +376,15 @@ def _build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if cfg.csv_path is not None:
         full = load_csv(cfg.csv_path)
         if cfg.test_csv_path is not None:
-            return full, load_csv(cfg.test_csv_path, num_classes=full.num_classes)
+            test = load_csv(cfg.test_csv_path, num_classes=full.num_classes)
+            if test.dim != full.dim:
+                raise ValueError(
+                    f"{cfg.test_csv_path} has {test.dim} feature columns, "
+                    f"{cfg.csv_path} has {full.dim}"
+                )
+            return full, test
+        if len(full) < 2:
+            raise ValueError(f"{cfg.csv_path} has one row; holding out a test row needs two")
         return _split_holdout(full, cfg.test_fraction, [cfg.seed, _TEST_SALT])
     # One pool per class so train and test share the same class means; the
     # first per_class samples of every class train, the rest are held out.
@@ -434,12 +443,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
 
     model_bytes = spec.num_params * BYTES_PER_PARAM
-    ledger = CostLedger()
+    one_time = total_bytes = 0
     history = []
     assignment = updates = None
     if cfg.sampler == "stratified":
         pre = preprocess(clients, train, public, server, tc, cluster_k=cfg.cluster_k)
-        ledger.add(one_time_cost(cfg.n_clients, len(public), public.dim, train.num_classes))
+        one_time = total_bytes = one_time_cost(cfg.n_clients, *public.shape, train.num_classes)
         pre.assignment.save_json(out / "clusters.json")
         save_matrix_csv(pre.matrix, out / "similarity_matrix.csv")
         # The rounds read only the assignment; the matrix is freed with `pre`.
@@ -460,14 +469,14 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             # instead of retraining; nothing reads those updates afterwards.
             server, _ = run_round(server, clients, train, plan, tc, updates=updates)
             updates = None
-            ledger.add(comm_cost_step(plan, model_bytes, cfg.algorithm))
+            total_bytes += comm_cost_step(plan, model_bytes, cfg.algorithm).total_bytes
             entropy = metrics_mod.sample_relative_entropy(
                 plan, partition, train.labels, train.num_classes
             )
             if pending is not None:
                 history.append(_round_metrics(*pending))
             scoring = scorer.submit(metrics_mod.evaluate_global, server.global_params, test)
-            pending = (r, entropy, ledger.total, scoring)
+            pending = (r, entropy, total_bytes, scoring)
         history.append(_round_metrics(*pending))
 
     write_metrics_csv(history, out / "metrics.csv")
@@ -485,9 +494,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "model_bytes": model_bytes,
         "final_accuracy": history[-1].test_accuracy,
         "final_loss": history[-1].test_loss,
-        "total_bytes": ledger.total,
-        "one_time_bytes": ledger.one_time_total,
-        "recurring_bytes": ledger.recurring_total,
+        "total_bytes": total_bytes,
+        "one_time_bytes": one_time,
+        "recurring_bytes": total_bytes - one_time,
         "mean_entropy": float(np.mean(entropies)),
         "mean_entropy_after_round1": float(np.mean(entropies[1:])) if len(entropies) > 1 else None,
         "cluster_count": assignment.k if assignment is not None else None,

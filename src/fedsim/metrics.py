@@ -1,4 +1,4 @@
-"""Evaluation metrics and the communication-cost ledger.
+"""Evaluation metrics and byte accounting.
 
 Covers relative entropy of a sampled round's label mix, latent-distance
 cluster quality, linear CKA between activation matrices, global accuracy and
@@ -17,9 +17,9 @@ from .mlp import PROB_FLOOR, ModelParams, forward_logits, softmax
 from .mlp import forward  # noqa: F401  bench/tracer.py traces fedsim.metrics.forward
 from .sampling import ClusterAssignment, SamplingPlan, kl_divergence
 
-# Bytes per parameter on the wire (fp32 convention); internal math stays float64.
+# Bytes per number on the wire (fp32 convention) for parameters, probe features
+# and soft labels alike; internal math stays float64.
 BYTES_PER_PARAM = 4
-BYTES_PER_FEATURE = 4
 
 
 @dataclass
@@ -33,17 +33,15 @@ class RoundMetrics:
 
 @dataclass
 class CostRecord:
-    """One entry of parameter traffic: a round's, or the clustering pass's one-time bytes."""
+    """One round's parameter traffic."""
 
     per_client_down_bytes: int
     per_client_up_bytes: int
     num_clients: int
-    one_time_bytes: int
 
     @property
     def total_bytes(self) -> int:
-        per_client = self.per_client_down_bytes + self.per_client_up_bytes
-        return self.num_clients * per_client + self.one_time_bytes
+        return self.num_clients * (self.per_client_down_bytes + self.per_client_up_bytes)
 
 
 def comm_cost_step(plan: SamplingPlan, model_bytes: int, algorithm: str) -> CostRecord:
@@ -56,51 +54,17 @@ def comm_cost_step(plan: SamplingPlan, model_bytes: int, algorithm: str) -> Cost
         raise ValueError("model_bytes must be > 0")
     factor = 2 if algorithm == "scaffold" else 1
     per_client = factor * int(model_bytes)
-    return CostRecord(
-        per_client_down_bytes=per_client,
-        per_client_up_bytes=per_client,
-        num_clients=plan.budget,
-        one_time_bytes=0,
-    )
+    return CostRecord(per_client, per_client, plan.budget)
 
 
-def one_time_cost(
-    num_clients: int, public_count: int, public_dim: int, num_classes: int
-) -> CostRecord:
-    """Probe-set download plus soft-label upload, paid once by every client."""
-    public_bytes = public_count * public_dim * BYTES_PER_FEATURE
-    soft_bytes = public_count * num_classes * BYTES_PER_FEATURE
-    return CostRecord(
-        per_client_down_bytes=0,
-        per_client_up_bytes=0,
-        num_clients=num_clients,
-        one_time_bytes=num_clients * (public_bytes + soft_bytes),
-    )
-
-
-class CostLedger:
-    """Running byte totals of a run, which never decrease.
-
-    `add` adds a record's `total_bytes` to `total` and its `one_time_bytes` to
-    `one_time_total`; the records themselves are not kept.
-    """
-
-    def __init__(self):
-        self.total = 0
-        self.one_time_total = 0
-
-    @property
-    def recurring_total(self) -> int:
-        return self.total - self.one_time_total
-
-    def add(self, rec: CostRecord) -> None:
-        self.total += rec.total_bytes
-        self.one_time_total += rec.one_time_bytes
+def one_time_cost(num_clients: int, public_count: int, public_dim: int, num_classes: int) -> int:
+    """Bytes of the probe-set download plus the soft-label upload, paid once by every client."""
+    return num_clients * public_count * (public_dim + num_classes) * BYTES_PER_PARAM
 
 
 def sample_relative_entropy(plan: SamplingPlan, partition, labels, num_classes: int) -> float:
-    """KL of the sampled clients' pooled label mix from the global label mix."""
-    lists = [np.asarray(a, dtype=np.int64) for a in getattr(partition, "assignment", partition)]
+    """KL of the sampled clients' pooled label mix from the whole `Partition`'s label mix."""
+    lists = partition.assignment
     if plan.budget == 0:
         raise ValueError("empty sampling plan")
     labels = np.asarray(labels, dtype=np.int64)

@@ -45,16 +45,15 @@ def test_blobs_rejects_degenerate_sizes():
 
 def test_public_shape_and_determinism():
     p = synth_public(2, 1000, seed=1)
-    assert p.features.shape == (1000, 2)
-    q = synth_public(2, 1000, seed=1)
-    assert np.array_equal(p.features, q.features)
-    assert synth_public(3, 1, seed=5).features.shape == (1, 3)
+    assert p.shape == (1000, 2) and p.dtype == np.float64
+    assert np.array_equal(p, synth_public(2, 1000, seed=1))
+    assert synth_public(3, 1, seed=5).shape == (1, 3)
 
 
 def test_public_distribution_differs_from_blobs():
     # Uniform cube: bounded support, no concentration around class means.
     p = synth_public(4, 500, seed=2)
-    low, high = p.features.min(), p.features.max()
+    low, high = p.min(), p.max()
     assert low >= -4.0 and high <= 6.0
 
 

@@ -272,13 +272,17 @@ def test_similarity_matrix_is_released_before_round_1(tmp_path, monkeypatch):
     assert seen == [(True, True, True)]
 
 
-def test_cumulative_bytes_are_one_time_plus_rounds(tmp_path):
+@pytest.mark.parametrize("sampler", ["uniform", "stratified"])
+def test_cumulative_bytes_are_one_time_plus_rounds(tmp_path, sampler):
     out = run_experiment(
-        _tiny_config(tmp_path, sampler="stratified", round1_participation="sampled", rounds=4)
+        _tiny_config(tmp_path, sampler=sampler, round1_participation="sampled", rounds=4)
     )
     summary = json.loads((out / "summary.json").read_text())
     per_round = summary["budget"] * 2 * summary["model_bytes"]
-    assert summary["one_time_bytes"] > 0
+    # Only the clustering pass pays the probe download and soft-label upload.
+    assert (summary["one_time_bytes"] > 0) == (sampler == "stratified")
+    assert summary["recurring_bytes"] == summary["total_bytes"] - summary["one_time_bytes"]
+    assert summary["recurring_bytes"] == 4 * per_round
     assert [m.cumulative_bytes for m in read_metrics_csv(out / "metrics.csv")] == [
         summary["one_time_bytes"] + r * per_round for r in range(1, 5)
     ]
@@ -467,6 +471,56 @@ def test_cli_rejects_unbuildable_csv_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message.format(path=csv_path) in err
+    assert not (tmp_path / "runs").exists()
+
+
+def _csv_case(tmp_path, case):
+    """A train/test CSV pair with one fault; returns the config's CSV fields and the bad path."""
+    ds = synth_blobs(3, 3, 10, 1.0, seed=3)
+    train = np.column_stack([ds.features, ds.labels])
+    test = train.copy()
+    if case == "test-wider":
+        test = np.column_stack([ds.features, ds.features[:, 0], ds.labels])
+    elif case == "test-label-unknown":
+        test[0, -1] = 3
+    elif case == "train-label-negative":
+        train[0, -1] = -1
+    else:  # "train-one-row": nothing left to hold out for testing
+        train = train[:1]
+    paths = {"csv_path": tmp_path / "train.csv", "test_csv_path": tmp_path / "test.csv"}
+    np.savetxt(paths["csv_path"], train, delimiter=",", fmt="%.17g")
+    if case.startswith("test-"):
+        np.savetxt(paths["test_csv_path"], test, delimiter=",", fmt="%.17g")
+        return {k: str(p) for k, p in paths.items()}, paths["test_csv_path"]
+    return {"csv_path": str(paths["csv_path"])}, paths["csv_path"]
+
+
+@pytest.mark.parametrize(
+    "case", ["test-wider", "test-label-unknown", "train-label-negative", "train-one-row"]
+)
+def test_cli_names_the_bad_csv_before_any_output(tmp_path, capsys, case):
+    # The wider test file used to fail in round-1 scoring, after config.json
+    # was written, and every case's message named no file.
+    fields, bad = _csv_case(tmp_path, case)
+    cfg = _tiny_config(tmp_path, n_clients=1, sample_ratio=1.0, **fields)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    assert not (tmp_path / "runs" / "tiny").exists()
+
+
+def test_cli_rejects_test_csv_path_without_csv_path(tmp_path, capsys):
+    # Unchecked, the run trains and scores on synthetic blobs and ignores the file.
+    _, test_csv = _csv_case(tmp_path, "test-wider")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(tmp_path, test_csv_path=str(test_csv)).to_dict()))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: test_csv_path:") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,5 +1,5 @@
-"""Every import in the package, its tests and its demos is used, and so is
-every private helper of the package.
+"""Every import in the package, its tests and its demos is used, every name
+in `fedsim.__all__` resolves, and every private helper of the package is used.
 
 A name counts as used when the module reads it anywhere or lists it in
 `__all__`. `from __future__` imports and lines marked `# noqa` are exempt; in
@@ -48,6 +48,13 @@ def test_every_import_is_used():
     assert len(files) > 10
     unused = [u for f in files if f.name not in EXEMPT for u in _unused_imports(f)]
     assert unused == []
+
+
+def test_every_exported_name_resolves():
+    # A name left in `__all__` after its import is gone breaks only `from fedsim import *`.
+    import fedsim
+
+    assert [name for name in fedsim.__all__ if not hasattr(fedsim, name)] == []
 
 
 def _load_tracer():
