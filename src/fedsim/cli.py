@@ -25,15 +25,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
-    for item in args.set or []:
-        key, value = _parse_override(item)
-        raw[key] = value
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.name is not None:
-        raw["name"] = args.name
-    if args.output_dir is not None:
-        raw["output_dir"] = args.output_dir
+    raw.update(_parse_override(item) for item in args.set or [])
     cfg = ExperimentConfig.from_dict(raw)
     out = run_experiment(cfg)
     summary = json.loads((out / "summary.json").read_text())
@@ -65,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the JSON config file")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--name", help="override the run name")
-    run_p.add_argument("--output-dir", help="override the output directory")
     run_p.add_argument(
         "--set",
         action="append",

@@ -138,29 +138,63 @@ def largest_remainder(reals, total: int) -> np.ndarray:
     return counts
 
 
-def _repair_empty(assignment: list[list[int]]) -> None:
-    """Move single samples from the largest client into any empty one."""
-    while True:
-        empty = [i for i, a in enumerate(assignment) if len(a) == 0]
-        if not empty:
-            return
-        donor = max(range(len(assignment)), key=lambda i: len(assignment[i]))
-        if len(assignment[donor]) <= 1:
-            raise ValueError("not enough samples to give every client at least one")
-        assignment[empty[0]].append(assignment[donor].pop())
+def partition_size_errors(
+    partition: str, n_clients: int, class_sizes, labels_per_client: int = 1, groups=()
+) -> list[str]:
+    """One message per broken size rule, each naming its config field.
+
+    `class_sizes[k]` is class k's sample count. The rules leave every client a
+    sample: no more clients than samples; for "quantity", `labels_per_client`
+    in [1, classes] and label slots for every class; for "manual", labels that
+    are classes and no group with more clients than its largest label has
+    samples (each label is split among all of the group's clients).
+    """
+    # A float64 total never wraps, and is exact below 2**53 samples.
+    k, total = len(class_sizes), int(np.sum(class_sizes, dtype=np.float64))
+    errors = []
+    if n_clients > total:
+        errors.append(f"n_clients: {n_clients} clients, more clients than samples ({total})")
+    if partition == "quantity":
+        if not 1 <= labels_per_client <= k:
+            errors.append(f"labels_per_client: must be in [1, {k}]")
+        elif n_clients * labels_per_client < k:
+            errors.append(
+                "labels_per_client: infeasible, n_clients*labels_per_client "
+                f"= {n_clients * labels_per_client} < {k} classes"
+            )
+    for i, (count, labels) in enumerate(groups if partition == "manual" else ()):
+        if not all(0 <= lb < k for lb in labels):
+            errors.append(f"manual_groups: entry {i} has a label outside classes 0..{k - 1}")
+        elif count > (most := max(class_sizes[lb] for lb in labels)):
+            errors.append(
+                f"manual_groups: entry {i} has {count} clients, "
+                f"more than the {most} samples of its largest label"
+            )
+    return errors
+
+
+def _check_sizes(ds: Dataset, partition: str, n_clients: int, **rule_args) -> None:
+    if n_clients < 1:
+        raise ValueError("need at least one client")
+    sizes = np.bincount(ds.labels, minlength=ds.num_classes)
+    if errors := partition_size_errors(partition, n_clients, sizes, **rule_args):
+        raise ValueError("; ".join(errors))
 
 
 def _finish(assignment: list[list[int]]) -> Partition:
-    _repair_empty(assignment)
+    """Give each empty client one sample of the largest (the size rules leave it two)."""
+    while empty := [i for i, a in enumerate(assignment) if len(a) == 0]:
+        donor = max(range(len(assignment)), key=lambda i: len(assignment[i]))
+        assignment[empty[0]].append(assignment[donor].pop())
     return Partition([np.sort(np.asarray(a, dtype=np.int64)) for a in assignment])
 
 
 def partition_dirichlet(ds: Dataset, num_clients: int, beta: float, seed) -> Partition:
-    """Split each class by proportions drawn from Dirichlet(beta, ..., beta)."""
-    if num_clients < 1:
-        raise ValueError("need at least one client")
-    if num_clients > len(ds):
-        raise ValueError("more clients than samples")
+    """Split each class by proportions drawn from Dirichlet(beta, ..., beta).
+
+    Raises ValueError for a class with no samples or a broken `partition_size_errors` rule.
+    """
+    _check_sizes(ds, "dirichlet", num_clients)
     if beta <= 0:
         raise ValueError("beta must be > 0")
     rng = np.random.default_rng(seed)
@@ -183,18 +217,12 @@ def partition_quantity(ds: Dataset, num_clients: int, labels_per_client: int, se
     """Give each client exactly `labels_per_client` distinct labels.
 
     Every label ends up held by at least one client; each label's samples are
-    split evenly among its holders.
+    split evenly among its holders. Raises ValueError for a broken
+    `partition_size_errors` rule.
     """
     k = ds.num_classes
     x = labels_per_client
-    if not 1 <= x <= k:
-        raise ValueError(f"labels_per_client must be in [1, {k}]")
-    if num_clients < 1:
-        raise ValueError("need at least one client")
-    if num_clients * x < k:
-        raise ValueError(
-            f"infeasible: {num_clients} clients x {x} labels cannot cover {k} classes"
-        )
+    _check_sizes(ds, "quantity", num_clients, labels_per_client=x)
     rng = np.random.default_rng(seed)
     label_sets = [set(rng.choice(k, size=x, replace=False).tolist()) for _ in range(num_clients)]
 
@@ -230,21 +258,15 @@ def partition_quantity(ds: Dataset, num_clients: int, labels_per_client: int, se
 
 
 def partition_manual(ds: Dataset, groups: list[tuple[int, list[int]]]) -> Partition:
-    """Deterministic split: each group's labels are divided evenly among its clients."""
-    if not groups:
-        raise ValueError("need at least one group")
-    seen: set[int] = set()
-    for count, labels in groups:
-        if count < 1:
-            raise ValueError("every group needs at least one client")
-        if not labels:
-            raise ValueError("every group needs at least one label")
-        for lb in labels:
-            if not 0 <= lb < ds.num_classes:
-                raise ValueError(f"label {lb} out of range")
-            if lb in seen:
-                raise ValueError(f"label {lb} appears in two groups")
-            seen.add(lb)
+    """Deterministic split: each group's labels are divided evenly among its clients.
+
+    Raises ValueError for a group without clients or labels, a broken
+    `partition_size_errors` rule, or a label in two groups (`Partition` finds a
+    sample given to two clients).
+    """
+    if any(count < 1 or not labels for count, labels in groups):
+        raise ValueError("every group needs at least one client and one label")
+    _check_sizes(ds, "manual", sum(count for count, _ in groups), groups=groups)
 
     assignment: list[list[int]] = []
     for count, labels in groups:
@@ -254,6 +276,4 @@ def partition_manual(ds: Dataset, groups: list[tuple[int, list[int]]]) -> Partit
             for member, chunk in zip(members, np.array_split(idx, count)):
                 member.extend(chunk.tolist())
         assignment.extend(members)
-    if any(len(a) == 0 for a in assignment):
-        raise ValueError("a group has more clients than samples of its labels")
     return Partition([np.sort(np.asarray(a, dtype=np.int64)) for a in assignment])

@@ -29,6 +29,7 @@ from .data import (
     partition_dirichlet,
     partition_manual,
     partition_quantity,
+    partition_size_errors,
     synth_blobs,
     synth_public,
 )
@@ -72,6 +73,9 @@ PARTITIONS = ("dirichlet", "quantity", "manual")
 # trailing zero words, so [seed, s] also seeds uniform round s and client 0's round-s batches.
 _TRAIN_SALT, _TEST_SALT, _PUBLIC_SALT, _INIT_SALT, _PARTITION_SALT, _KMEANS_SALT = range(1, 7)
 
+# Share of a `csv_path` file held out for testing when no `test_csv_path` is given.
+TEST_FRACTION = 0.2
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration, with one message per offending field."""
@@ -106,7 +110,6 @@ class ExperimentConfig:
     test_per_class: int = 50
     csv_path: str | None = None
     test_csv_path: str | None = None
-    test_fraction: float = 0.2
     # partition
     partition: str = "dirichlet"
     beta: float = 0.5
@@ -164,35 +167,23 @@ class ExperimentConfig:
         """Each group must be a [count >= 1, [labels]] pair; together they define n_clients."""
         if not self.manual_groups:
             return ["manual_groups: required when partition is 'manual'"]
-        # Synthetic data has num_classes classes; a CSV's are known once it is read.
-        top = math.inf if self.csv_path is not None else self.num_classes
-        shape = "[count >= 1, [labels >= 0]]" if top == math.inf else (
-            f"[count >= 1, [labels in 0..{top - 1}]]"
-        )
         errors = []
         for i, group in enumerate(self.manual_groups):
             pair = isinstance(group, (list, tuple)) and len(group) == 2
             if not (
                 pair and _fits(group[0], int) and group[0] >= 1
                 and isinstance(group[1], (list, tuple)) and len(group[1]) > 0
-                and all(_fits(lb, int) and 0 <= lb < top for lb in group[1])
+                and all(_fits(lb, int) and lb >= 0 for lb in group[1])
             ):
-                errors.append(f"manual_groups: entry {i} must be a {shape} pair, got {group!r}")
+                errors.append(
+                    f"manual_groups: entry {i} must be a [count >= 1, [labels >= 0]] pair, "
+                    f"got {group!r}"
+                )
         if errors:
             return errors
         labels = [lb for _, group_labels in self.manual_groups for lb in group_labels]
         if len(set(labels)) < len(labels):
             return ["manual_groups: a label appears in two groups"]
-        if self.csv_path is None:
-            # Each label's per_class samples are split among the group's clients.
-            errors = [
-                f"manual_groups: entry {i} has {count} clients, "
-                f"more than per_class = {self.per_class} samples of each label"
-                for i, (count, _) in enumerate(self.manual_groups)
-                if count > self.per_class
-            ]
-            if errors:
-                return errors
         total = sum(count for count, _ in self.manual_groups)
         if total != self.n_clients:
             return [f"manual_groups: groups define {total} clients, expected {self.n_clients}"]
@@ -203,7 +194,8 @@ class ExperimentConfig:
 
         Raises one ConfigError naming each offending field. The value checks
         run only once every type is right and every float finite, since they
-        compare and index.
+        compare and index. The size rules (`partition_size_errors`) run here on
+        synthetic data only; a CSV's partitioner checks them once the file is read.
         """
         hints = typing.get_type_hints(type(self))
         wrong = []
@@ -221,11 +213,6 @@ class ExperimentConfig:
             errors.append(f"name: must be one plain directory name, got {self.name!r}")
         if self.n_clients < 1:
             errors.append("n_clients: must be >= 1")
-        elif self.csv_path is None and self.n_clients > self.num_classes * self.per_class:
-            errors.append(
-                f"n_clients: {self.n_clients} clients but only "
-                f"num_classes*per_class = {self.num_classes * self.per_class} training samples"
-            )
         if self.rounds < 1:
             errors.append("rounds: must be >= 1")
         if self.num_classes < 2:
@@ -238,24 +225,19 @@ class ExperimentConfig:
             errors.append("test_per_class: must be >= 1")
         if self.spread < 0:
             errors.append("spread: must be >= 0")
-        if self.csv_path is not None and not (0 < self.test_fraction < 1):
-            errors.append("test_fraction: must be in (0, 1)")
         if self.test_csv_path is not None and self.csv_path is None:
             errors.append("test_csv_path: needs csv_path; synthetic data makes its own test set")
         if self.partition not in PARTITIONS:
             errors.append(f"partition: must be one of {PARTITIONS}")
         if self.partition == "dirichlet" and self.beta <= 0:
             errors.append("beta: must be > 0")
-        if self.partition == "quantity":
-            if not 1 <= self.labels_per_client <= self.num_classes:
-                errors.append(f"labels_per_client: must be in [1, {self.num_classes}]")
-            elif self.n_clients * self.labels_per_client < self.num_classes:
-                errors.append(
-                    "labels_per_client: infeasible, n_clients*labels_per_client "
-                    f"= {self.n_clients * self.labels_per_client} < {self.num_classes} classes"
-                )
-        if self.partition == "manual":
-            errors.extend(self._manual_group_errors())
+        group_errors = self._manual_group_errors() if self.partition == "manual" else []
+        errors.extend(group_errors)
+        if self.csv_path is None and self.num_classes >= 2 and not group_errors:
+            sizes = np.broadcast_to(self.per_class, self.num_classes)  # a view, not a list
+            errors.extend(partition_size_errors(
+                self.partition, self.n_clients, sizes, self.labels_per_client, self.manual_groups
+            ))
         if any(h < 1 for h in self.hidden_sizes):
             errors.append("hidden_sizes: all sizes must be >= 1")
         try:
@@ -361,10 +343,10 @@ def preprocess(
     return PreprocessResult(matrix, assignment, updates)
 
 
-def _split_holdout(ds: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
+def _split_holdout(ds: Dataset, seed) -> tuple[Dataset, Dataset]:
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds))
-    n_test = min(len(ds) - 1, max(1, int(round(fraction * len(ds)))))
+    n_test = min(len(ds) - 1, max(1, int(round(TEST_FRACTION * len(ds)))))
     test_idx, train_idx = order[:n_test], order[n_test:]
     return (
         Dataset(ds.features[train_idx], ds.labels[train_idx], ds.num_classes),
@@ -385,7 +367,7 @@ def _build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
             return full, test
         if len(full) < 2:
             raise ValueError(f"{cfg.csv_path} has one row; holding out a test row needs two")
-        return _split_holdout(full, cfg.test_fraction, [cfg.seed, _TEST_SALT])
+        return _split_holdout(full, [cfg.seed, _TEST_SALT])
     # One pool per class so train and test share the same class means; the
     # first per_class samples of every class train, the rest are held out.
     pool = synth_blobs(
@@ -403,12 +385,16 @@ def _build_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def _build_partition(cfg: ExperimentConfig, train: Dataset) -> Partition:
+    """The configured partition; a CSV's partition error is a ConfigError naming the file."""
     seed = [cfg.seed, _PARTITION_SALT]
-    if cfg.partition == "dirichlet":
-        return partition_dirichlet(train, cfg.n_clients, cfg.beta, seed)
-    if cfg.partition == "quantity":
-        return partition_quantity(train, cfg.n_clients, cfg.labels_per_client, seed)
-    return partition_manual(train, cfg.manual_groups)
+    try:
+        if cfg.partition == "dirichlet":
+            return partition_dirichlet(train, cfg.n_clients, cfg.beta, seed)
+        if cfg.partition == "quantity":
+            return partition_quantity(train, cfg.n_clients, cfg.labels_per_client, seed)
+        return partition_manual(train, cfg.manual_groups)
+    except ValueError as err:  # validate has checked synthetic sizes, so the data is a CSV
+        raise ConfigError(f"{cfg.csv_path}: {err}") from None
 
 
 def _round_metrics(r: int, entropy: float, total_bytes: int, scoring: Future) -> RoundMetrics:

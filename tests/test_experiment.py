@@ -32,6 +32,7 @@ from fedsim import (
     make_clients,
     partition_dirichlet,
     partition_manual,
+    partition_quantity,
     preprocess,
     run_experiment,
     run_round,
@@ -155,6 +156,19 @@ def test_config_rejects_infeasible_quantity_skew():
     assert "labels_per_client" in str(err.value)
 
 
+def test_validate_and_partitioner_give_one_message_for_synthetic_sizes():
+    cfg = ExperimentConfig(
+        seed=1, n_clients=3, rounds=1, num_classes=10, per_class=5, sample_ratio=1.0,
+        partition="quantity", labels_per_client=2,
+    )
+    with pytest.raises(ConfigError) as from_config:
+        cfg.validate()
+    with pytest.raises(ValueError) as from_data:
+        partition_quantity(synth_blobs(10, 2, 5, 1.0, seed=1), 3, 2, seed=0)
+    assert str(from_config.value) == str(from_data.value)
+    assert str(from_data.value).startswith("labels_per_client: infeasible")
+
+
 def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict({"seed": 1, "n_clients": 2, "rounds": 1, "nope": 3})
@@ -164,7 +178,9 @@ def test_config_rejects_unknown_and_missing_keys():
     assert "seed" in str(err.value)
 
 
-@pytest.mark.parametrize("key", ["workers", "eq1_denominator", "soft_label_reduction"])
+@pytest.mark.parametrize(
+    "key", ["workers", "eq1_denominator", "soft_label_reduction", "test_fraction"]
+)
 def test_config_rejects_removed_workers_key(key):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict({"seed": 1, "n_clients": 2, "rounds": 1, key: 1})
@@ -318,7 +334,7 @@ def test_cli_run_and_compare(tmp_path, capsys):
 
     rc = cli_main(["run", "--config", str(cfg_path)])
     assert rc == 0
-    rc = cli_main(["run", "--config", str(cfg_path), "--name", "cli2", "--seed", "6",
+    rc = cli_main(["run", "--config", str(cfg_path), "--set", "name=cli2", "--set", "seed=6",
                    "--set", "rounds=3"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -471,6 +487,42 @@ def test_cli_rejects_unbuildable_csv_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message.format(path=csv_path) in err
+    assert not (tmp_path / "runs").exists()
+
+
+# One rule set checks synthetic and CSV sizes; a CSV's is checked against the
+# file's own classes and rows, and its errors name the file and the field.
+@pytest.mark.parametrize(
+    "num_classes, overrides, message",
+    [
+        # Against the unused num_classes default of 10, 11 labels were rejected.
+        (12, {"partition": "quantity", "labels_per_client": 11}, None),
+        (3, {"n_clients": 3, "partition": "manual", "manual_groups": [[2, [0, 1]], [1, [5]]]},
+         "manual_groups: entry 1 has a label outside classes 0..2"),
+        # 30 rows, 6 of them held out for testing.
+        (3, {"n_clients": 40, "sample_ratio": 0.1},
+         "n_clients: 40 clients, more clients than samples (24)"),
+        # Label 0 has at most 10 training rows.
+        (3, {"n_clients": 12, "partition": "manual", "manual_groups": [[11, [0]], [1, [1, 2]]]},
+         "manual_groups: entry 0 has 11 clients, more than the "),
+    ],
+    ids=["quantity-twelve-classes", "manual-label-not-a-class", "forty-clients-24-rows",
+         "manual-group-above-its-rows"],
+)
+def test_cli_checks_csv_sizes_against_the_file(tmp_path, capsys, num_classes, overrides, message):
+    ds = synth_blobs(num_classes, 3, 10, 1.0, seed=3)
+    csv_path = tmp_path / f"c{num_classes}.csv"
+    np.savetxt(csv_path, np.column_stack([ds.features, ds.labels]), delimiter=",", fmt="%.17g")
+    cfg = {**_tiny_config(tmp_path, csv_path=str(csv_path)).to_dict(), **overrides}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0 and err == ""
+        return
+    assert rc == 1
+    assert err.startswith(f"error: {csv_path}: {message}") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
 
 
