@@ -141,13 +141,15 @@ def largest_remainder(reals, total: int) -> np.ndarray:
 def partition_size_errors(
     partition: str, n_clients: int, class_sizes, labels_per_client: int = 1, groups=()
 ) -> list[str]:
-    """One message per broken size rule, each naming its config field.
+    """One message per broken partition rule, each naming its config field.
 
     `class_sizes[k]` is class k's sample count. The rules leave every client a
-    sample: no more clients than samples; for "quantity", `labels_per_client`
-    in [1, classes] and label slots for every class; for "manual", labels that
-    are classes and no group with more clients than its largest label has
-    samples (each label is split among all of the group's clients).
+    sample and no sample two clients: no more clients than samples; for
+    "quantity", `labels_per_client` in [1, classes] and label slots for every
+    class; for "manual", (count, labels) `groups` entries with a client and a
+    label each, labels that are classes, none listed twice, and no entry with
+    more clients than its largest label has samples (each label is split
+    among all of the entry's clients).
     """
     # A float64 total never wraps, and is exact below 2**53 samples.
     k, total = len(class_sizes), int(np.sum(class_sizes, dtype=np.float64))
@@ -162,14 +164,20 @@ def partition_size_errors(
                 "labels_per_client: infeasible, n_clients*labels_per_client "
                 f"= {n_clients * labels_per_client} < {k} classes"
             )
-    for i, (count, labels) in enumerate(groups if partition == "manual" else ()):
-        if not all(0 <= lb < k for lb in labels):
+    groups = groups if partition == "manual" else ()
+    for i, (count, labels) in enumerate(groups):
+        if count < 1 or not labels:
+            errors.append(f"manual_groups: entry {i} needs at least one client and one label")
+        elif not all(0 <= lb < k for lb in labels):
             errors.append(f"manual_groups: entry {i} has a label outside classes 0..{k - 1}")
         elif count > (most := max(class_sizes[lb] for lb in labels)):
             errors.append(
                 f"manual_groups: entry {i} has {count} clients, "
                 f"more than the {most} samples of its largest label"
             )
+    listed = [lb for _, labels in groups for lb in labels]
+    if repeated := sorted({lb for lb in listed if listed.count(lb) > 1}):
+        errors.append(f"manual_groups: label {repeated[0]} is listed more than once")
     return errors
 
 
@@ -189,10 +197,27 @@ def _finish(assignment: list[list[int]]) -> Partition:
     return Partition([np.sort(np.asarray(a, dtype=np.int64)) for a in assignment])
 
 
+def _deal(ds: Dataset, label_sets, rng=None) -> Partition:
+    """Split each label's samples, shuffled by `rng` if given, evenly among the clients holding it.
+
+    `label_sets[i]` is client i's labels; a label no client holds is dealt to no one.
+    """
+    assignment: list[list[int]] = [[] for _ in label_sets]
+    for lb in sorted(set().union(*label_sets)):
+        holders = [i for i, s in enumerate(label_sets) if lb in s]
+        idx = np.flatnonzero(ds.labels == lb)
+        if rng is not None:
+            rng.shuffle(idx)
+        for holder, chunk in zip(holders, np.array_split(idx, len(holders))):
+            assignment[holder].extend(chunk.tolist())
+    return _finish(assignment)
+
+
 def partition_dirichlet(ds: Dataset, num_clients: int, beta: float, seed) -> Partition:
     """Split each class by proportions drawn from Dirichlet(beta, ..., beta).
 
-    Raises ValueError for a class with no samples or a broken `partition_size_errors` rule.
+    A class without samples is dealt nothing. Raises ValueError for a `beta`
+    that is not positive or a broken `partition_size_errors` rule.
     """
     _check_sizes(ds, "dirichlet", num_clients)
     if beta <= 0:
@@ -201,24 +226,19 @@ def partition_dirichlet(ds: Dataset, num_clients: int, beta: float, seed) -> Par
     assignment: list[list[int]] = [[] for _ in range(num_clients)]
     for k in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == k)
-        if idx.size == 0:
-            raise ValueError(f"class {k} has no samples")
         rng.shuffle(idx)
-        proportions = rng.dirichlet(np.full(num_clients, beta))
-        counts = largest_remainder(proportions * idx.size, idx.size)
-        start = 0
-        for client, c in enumerate(counts):
-            assignment[client].extend(idx[start : start + c].tolist())
-            start += c
+        counts = largest_remainder(rng.dirichlet(np.full(num_clients, beta)) * idx.size, idx.size)
+        for client, chunk in zip(assignment, np.split(idx, np.cumsum(counts)[:-1])):
+            client.extend(chunk.tolist())
     return _finish(assignment)
 
 
 def partition_quantity(ds: Dataset, num_clients: int, labels_per_client: int, seed) -> Partition:
     """Give each client exactly `labels_per_client` distinct labels.
 
-    Every label ends up held by at least one client; each label's samples are
-    split evenly among its holders. Raises ValueError for a broken
-    `partition_size_errors` rule.
+    Every label ends up held by at least one client, and `_deal` splits each
+    label's shuffled samples evenly among its holders: a class without samples
+    is dealt nothing. Raises ValueError for a broken `partition_size_errors` rule.
     """
     k = ds.num_classes
     x = labels_per_client
@@ -246,34 +266,15 @@ def partition_quantity(ds: Dataset, num_clients: int, labels_per_client: int, se
         label_sets[client].add(missing)
         holders[out] -= 1
         holders[missing] += 1
-
-    assignment: list[list[int]] = [[] for _ in range(num_clients)]
-    for lb in range(k):
-        owner_ids = [i for i, s in enumerate(label_sets) if lb in s]
-        idx = np.flatnonzero(ds.labels == lb)
-        rng.shuffle(idx)
-        for owner, chunk in zip(owner_ids, np.array_split(idx, len(owner_ids))):
-            assignment[owner].extend(chunk.tolist())
-    return _finish(assignment)
+    return _deal(ds, label_sets, rng)
 
 
 def partition_manual(ds: Dataset, groups: list[tuple[int, list[int]]]) -> Partition:
     """Deterministic split: each group's labels are divided evenly among its clients.
 
-    Raises ValueError for a group without clients or labels, a broken
-    `partition_size_errors` rule, or a label in two groups (`Partition` finds a
-    sample given to two clients).
+    Clients are numbered group by group, in order; labels no group lists are
+    dealt to no one. Raises ValueError for a broken `partition_size_errors`
+    rule, such as an entry without clients or labels or a label listed twice.
     """
-    if any(count < 1 or not labels for count, labels in groups):
-        raise ValueError("every group needs at least one client and one label")
     _check_sizes(ds, "manual", sum(count for count, _ in groups), groups=groups)
-
-    assignment: list[list[int]] = []
-    for count, labels in groups:
-        members: list[list[int]] = [[] for _ in range(count)]
-        for lb in labels:
-            idx = np.flatnonzero(ds.labels == lb)
-            for member, chunk in zip(members, np.array_split(idx, count)):
-                member.extend(chunk.tolist())
-        assignment.extend(members)
-    return Partition([np.sort(np.asarray(a, dtype=np.int64)) for a in assignment])
+    return _deal(ds, [set(labels) for count, labels in groups for _ in range(count)])

@@ -52,7 +52,8 @@ from .metrics import (
     rounds_to_target,
     write_metrics_csv,
 )
-from .mlp import ModelParams, ModelSpec, forward, forward_logits, init_params, softmax
+from .mlp import ModelParams, ModelSpec, forward_logits, init_params, softmax
+from .mlp import forward  # noqa: F401  bench/tracer.py traces fedsim.experiment.forward
 from .sampling import (
     ClusterAssignment,
     SamplingPlan,
@@ -164,26 +165,22 @@ class ExperimentConfig:
         )
 
     def _manual_group_errors(self) -> list[str]:
-        """Each group must be a [count >= 1, [labels]] pair; together they define n_clients."""
+        """The shape: [count, [labels]] pairs of integers whose counts sum to n_clients.
+
+        The value rules live in `partition_size_errors`, with the sizes they need.
+        """
         if not self.manual_groups:
             return ["manual_groups: required when partition is 'manual'"]
-        errors = []
-        for i, group in enumerate(self.manual_groups):
-            pair = isinstance(group, (list, tuple)) and len(group) == 2
+        errors = [
+            f"manual_groups: entry {i} must be a [count, [labels]] pair of integers, got {group!r}"
+            for i, group in enumerate(self.manual_groups)
             if not (
-                pair and _fits(group[0], int) and group[0] >= 1
-                and isinstance(group[1], (list, tuple)) and len(group[1]) > 0
-                and all(_fits(lb, int) and lb >= 0 for lb in group[1])
-            ):
-                errors.append(
-                    f"manual_groups: entry {i} must be a [count >= 1, [labels >= 0]] pair, "
-                    f"got {group!r}"
-                )
+                isinstance(group, (list, tuple)) and len(group) == 2 and _fits(group[0], int)
+                and isinstance(group[1], (list, tuple)) and all(_fits(lb, int) for lb in group[1])
+            )
+        ]
         if errors:
             return errors
-        labels = [lb for _, group_labels in self.manual_groups for lb in group_labels]
-        if len(set(labels)) < len(labels):
-            return ["manual_groups: a label appears in two groups"]
         total = sum(count for count, _ in self.manual_groups)
         if total != self.n_clients:
             return [f"manual_groups: groups define {total} clients, expected {self.n_clients}"]
@@ -194,8 +191,8 @@ class ExperimentConfig:
 
         Raises one ConfigError naming each offending field. The value checks
         run only once every type is right and every float finite, since they
-        compare and index. The size rules (`partition_size_errors`) run here on
-        synthetic data only; a CSV's partitioner checks them once the file is read.
+        compare and index. The partition rules (`partition_size_errors`) run here
+        on synthetic data only; a CSV's partitioner checks them once the file is read.
         """
         hints = typing.get_type_hints(type(self))
         wrong = []
@@ -274,12 +271,12 @@ class ProbePredictions:
     """Each client's `forward` probabilities on the probe set, computed when read.
 
     The sequence `preprocess` passes to `build_similarity_matrix` instead of
-    a (clients, probe rows, classes) stack: item i is client i's probe
-    probabilities, a slice is the sequence of those clients, `shape` is
-    (clients, probe rows, classes) and `fill_rows` writes some probe rows of
-    several clients, with the same bytes. The predictions run under the same
-    np.errstate as training: a model with huge weights gives non-finite soft
-    labels, which the build reports, and no numpy warnings.
+    a (clients, probe rows, classes) stack: `fill_rows` writes some probe rows
+    of several clients, item i is client i's rows filled by it, a slice is the
+    sequence of those clients and `shape` is (clients, probe rows, classes).
+    The predictions run under the same np.errstate as training: a model with
+    huge weights gives non-finite soft labels, which the build reports, and no
+    numpy warnings.
     """
 
     def __init__(self, params: list[ModelParams], features: np.ndarray):
@@ -293,8 +290,9 @@ class ProbePredictions:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return ProbePredictions(self.params[i], self.features)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return forward(self.params[i], self.features)[0]
+        out = np.empty((1, *self.shape[1:]))
+        self.fill_rows(range(len(self))[i], 0, out)  # range raises IndexError past the end
+        return out[0]
 
     def fill_rows(self, top: int, lo: int, out: np.ndarray) -> None:
         """Probe rows lo onward of clients top onward, into the (clients, rows, classes) `out`.

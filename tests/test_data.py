@@ -196,6 +196,18 @@ def test_manual_duplicate_label_rejected():
         partition_manual(ds, [(0, [0])])
 
 
+@pytest.mark.parametrize(
+    "groups",
+    [[(1, [0, 1]), (1, [1, 2])], [(0, [0]), (1, [1])], [(1, []), (1, [1])]],
+    ids=["label-in-two-groups", "zero-clients", "no-labels"],
+)
+def test_manual_names_the_field_of_a_bad_group(groups):
+    # The size rules catch each one before any sample is dealt.
+    ds = synth_blobs(3, 2, 5, 1.0, seed=2)
+    with pytest.raises(ValueError, match="^manual_groups: "):
+        partition_manual(ds, groups)
+
+
 def test_csv_roundtrip(tmp_path):
     ds = synth_blobs(3, 4, 6, 1.0, seed=20)
     path = tmp_path / "data.csv"
@@ -279,3 +291,36 @@ def test_manual_partition_is_disjoint_cover_of_grouped_labels(num_classes, per_c
     part = partition_manual(ds, groups)
     assert part.num_clients == sum(count for count, _ in groups)
     _assert_disjoint_cover(part, np.flatnonzero(np.isin(ds.labels, labels[:used])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_classes=st.integers(2, 6), per_class=st.integers(6, 12),
+    seed=st.integers(0, 2**32 - 1), data=st.data(),
+)
+def test_quantity_and_manual_deal_each_label_evenly_among_its_holders(
+    num_classes, per_class, seed, data
+):
+    # No label has fewer samples than holders, so no client is left empty and
+    # refilled from another's label.
+    ds = synth_blobs(num_classes, 2, per_class, 1.0, seed=seed)
+    if data.draw(st.booleans()):
+        labels = data.draw(st.permutations(range(num_classes)))
+        used = data.draw(st.integers(1, num_classes))
+        cuts = [c for c in range(1, used) if data.draw(st.booleans())]
+        groups = [
+            (data.draw(st.integers(1, per_class)), list(labels[a:b]))
+            for a, b in zip([0, *cuts], [*cuts, used])
+        ]
+        part = partition_manual(ds, groups)
+        held = [set(group) for count, group in groups for _ in range(count)]
+    else:
+        x = data.draw(st.integers(1, num_classes))
+        n_clients = data.draw(st.integers(-(-num_classes // x), per_class))
+        part = partition_quantity(ds, n_clients, x, seed)
+        held = [set(ds.labels[idx].tolist()) for idx in part.assignment]
+        assert all(len(h) == x for h in held)
+    assert [set(ds.labels[idx].tolist()) for idx in part.assignment] == held
+    for lb in set().union(*held):
+        shares = [(ds.labels[idx] == lb).sum() for idx, h in zip(part.assignment, held) if lb in h]
+        assert sum(shares) == per_class and max(shares) - min(shares) <= 1

@@ -493,26 +493,30 @@ def test_cli_rejects_unbuildable_csv_before_any_output(
 # One rule set checks synthetic and CSV sizes; a CSV's is checked against the
 # file's own classes and rows, and its errors name the file and the field.
 @pytest.mark.parametrize(
-    "num_classes, overrides, message",
+    "labels, overrides, message",
     [
         # Against the unused num_classes default of 10, 11 labels were rejected.
-        (12, {"partition": "quantity", "labels_per_client": 11}, None),
-        (3, {"n_clients": 3, "partition": "manual", "manual_groups": [[2, [0, 1]], [1, [5]]]},
+        (range(12), {"partition": "quantity", "labels_per_client": 11}, None),
+        (range(3), {"n_clients": 3, "partition": "manual", "manual_groups": [[2, [0, 1]], [1, [5]]]},
          "manual_groups: entry 1 has a label outside classes 0..2"),
         # 30 rows, 6 of them held out for testing.
-        (3, {"n_clients": 40, "sample_ratio": 0.1},
+        (range(3), {"n_clients": 40, "sample_ratio": 0.1},
          "n_clients: 40 clients, more clients than samples (24)"),
         # Label 0 has at most 10 training rows.
-        (3, {"n_clients": 12, "partition": "manual", "manual_groups": [[11, [0]], [1, [1, 2]]]},
+        (range(3), {"n_clients": 12, "partition": "manual", "manual_groups": [[11, [0]], [1, [1, 2]]]},
          "manual_groups: entry 0 has 11 clients, more than the "),
+        # Class 1 has no rows; Dirichlet deals it to no one, as quantity does.
+        ([0, 2, 3], {"partition": "dirichlet"}, None),
+        ([0, 2, 3], {"partition": "quantity", "labels_per_client": 2}, None),
     ],
     ids=["quantity-twelve-classes", "manual-label-not-a-class", "forty-clients-24-rows",
-         "manual-group-above-its-rows"],
+         "manual-group-above-its-rows", "dirichlet-empty-class", "quantity-empty-class"],
 )
-def test_cli_checks_csv_sizes_against_the_file(tmp_path, capsys, num_classes, overrides, message):
-    ds = synth_blobs(num_classes, 3, 10, 1.0, seed=3)
-    csv_path = tmp_path / f"c{num_classes}.csv"
-    np.savetxt(csv_path, np.column_stack([ds.features, ds.labels]), delimiter=",", fmt="%.17g")
+def test_cli_checks_csv_sizes_against_the_file(tmp_path, capsys, labels, overrides, message):
+    ds = synth_blobs(max(labels) + 1, 3, 10, 1.0, seed=3)
+    rows = np.column_stack([ds.features, ds.labels])[np.isin(ds.labels, labels)]
+    csv_path = tmp_path / f"c{len(labels)}.csv"
+    np.savetxt(csv_path, rows, delimiter=",", fmt="%.17g")
     cfg = {**_tiny_config(tmp_path, csv_path=str(csv_path)).to_dict(), **overrides}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
