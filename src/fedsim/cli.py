@@ -5,9 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .experiment import ConfigError, ExperimentConfig, compare_runs, run_experiment
+from .experiment import ConfigError, ExperimentConfig, compare_runs, read_json, run_experiment
 
 
 def _parse_override(item: str) -> tuple[str, object]:
@@ -22,13 +21,11 @@ def _parse_override(item: str) -> tuple[str, object]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
+    raw = read_json(args.config)
     raw.update(_parse_override(item) for item in args.set or [])
     cfg = ExperimentConfig.from_dict(raw)
     out = run_experiment(cfg)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     print(f"wrote {out}")
     print(
         f"final accuracy {summary['final_accuracy']:.4f}, "
@@ -38,13 +35,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare_runs(args.dirs, args.target)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    print(json.dumps(compare_runs(args.dirs, args.target), indent=2, sort_keys=True))
     return 0
 
 
@@ -68,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="compare finished runs against a target accuracy")
     cmp_p.add_argument("--target", type=float, required=True, help="target accuracy in (0, 1)")
     cmp_p.add_argument("dirs", nargs="+", help="run directories; first is the baseline")
-    cmp_p.add_argument("--out", help="write the comparison JSON here instead of stdout")
     cmp_p.set_defaults(func=_cmd_compare)
     return parser
 

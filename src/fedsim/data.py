@@ -8,6 +8,7 @@ to two clients.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,13 @@ def synth_public(dim: int, count: int, seed) -> np.ndarray:
 def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Headerless CSV with real feature columns followed by one integer label; errors name `path`."""
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file raises below instead
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    if raw.size == 0:
+        raise ValueError(f"{path} has no data rows")
     if raw.shape[1] < 2:
         raise ValueError(f"{path} needs at least one feature column plus the label")
     bad = ~np.isfinite(raw).all(axis=1)

@@ -233,7 +233,7 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
     scaffold = cfg.algorithm == "scaffold"
     prox_mu = cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0
     g = len(members)
-    table_x, table_y, rows, rates = _schedule(members, dataset, global_params, cfg, round_idx)
+    table_x, table_y, rows, rates, steps = _schedule(members, dataset, global_params, cfg, round_idx)
     total, _, width = rows.shape
     counts = (rows != len(table_x) - 1).sum(axis=2).tolist()
 
@@ -330,12 +330,8 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
         vals -= grads
 
     results = []
-    # The rate of the last epoch's steps, from the same schedule.
-    lr_effective = cfg.epoch_rates()[-1]
-    sizes = [client.data.size for client in members]
-    for c, client in enumerate(members):
-        n_steps = cfg.epochs * -(-sizes[c] // cfg.batch_size)
-        divisor = n_steps * lr_effective if scaffold else None
+    for c, (client, n_steps) in enumerate(zip(members, steps)):
+        divisor = n_steps * float(rates[n_steps - 1, c]) if scaffold else None
         finite = not diverged[c] and np.isfinite(values[c]).all()
         if finite and scaffold:
             # Formed in the member's gradient row, dead after the last step.
@@ -348,7 +344,7 @@ def _train_group(members, dataset, global_params, cfg, round_idx, server_control
             results.append(None)
             continue
         results.append(
-            LocalUpdate(client.id, ModelParams(values[c], spec), sizes[c], n_steps, divisor)
+            LocalUpdate(client.id, ModelParams(values[c], spec), client.data.size, n_steps, divisor)
         )
     return results
 
@@ -376,8 +372,9 @@ def _schedule(members, dataset, global_params, cfg, round_idx):
 
     Returns the members' rows and labels, gathered from `dataset` in one step
     and validated once, ending in an all-zero row `pad`; a (steps, members,
-    width) array of row indices, each batch padded with `pad`; and a (steps,
-    members) array of learning rates, 0 once a member's schedule has ended.
+    width) array of row indices, each batch padded with `pad`; a (steps,
+    members) array of learning rates, 0 once a member's schedule has ended;
+    and each member's step count, epochs times its batches per epoch.
     Members come sorted by step count, longest first.
     """
     sizes = [client.data.size for client in members]
@@ -401,7 +398,7 @@ def _schedule(members, dataset, global_params, cfg, round_idx):
         rows[: cfg.epochs * nb, c] = batches.reshape(-1, width)
         rates[: cfg.epochs * nb, c] = np.repeat(epoch_rates, nb)
         base += n
-    return table_x, table_y, rows, rates
+    return table_x, table_y, rows, rates, [cfg.epochs * nb for nb in per_epoch]
 
 
 def _sorted_weights(updates: list[LocalUpdate]):

@@ -489,6 +489,17 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def read_json(path) -> dict:
+    """The JSON object in the file at `path`; every error names the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as err:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {err}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(value).__name__}")
+    return value
+
+
 def compare_runs(run_dirs: list, target_accuracy: float) -> dict:
     """Rounds-to-target and byte deltas of each run against the first one."""
     if len(run_dirs) < 2:
@@ -503,9 +514,7 @@ def compare_runs(run_dirs: list, target_accuracy: float) -> dict:
         history = read_metrics_csv(metrics_path)
         if not history:
             raise ValueError(f"{metrics_path} has a header but no rounds")
-        summary = json.loads(summary_path.read_text())
-        if not isinstance(summary, dict):
-            raise ValueError(f"{summary_path} must hold a JSON object, got {type(summary).__name__}")
+        summary = read_json(summary_path)
         reached = rounds_to_target([m.test_accuracy for m in history], target_accuracy)
         if reached is None:
             bytes_to_target = history[-1].cumulative_bytes

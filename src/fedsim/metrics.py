@@ -63,14 +63,13 @@ def one_time_cost(num_clients: int, public_count: int, public_dim: int, num_clas
 
 
 def sample_relative_entropy(plan: SamplingPlan, partition, labels, num_classes: int) -> float:
-    """KL of the sampled clients' pooled label mix from the whole `Partition`'s label mix."""
+    """KL of the sampled clients' pooled label mix from the whole `Partition`'s label mix,
+    never over an empty pool: a plan holds a client, and `Partition` gives each a sample."""
     lists = partition.assignment
     if plan.budget == 0:
         raise ValueError("empty sampling plan")
     labels = np.asarray(labels, dtype=np.int64)
     sampled = np.concatenate([lists[i] for i in plan.selected])
-    if sampled.size == 0:
-        raise ValueError("sampled clients hold no data")
     everything = np.concatenate(lists)
     sample_hist = np.bincount(labels[sampled], minlength=num_classes)
     global_hist = np.bincount(labels[everything], minlength=num_classes)

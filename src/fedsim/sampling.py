@@ -72,11 +72,9 @@ class ClusterAssignment:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
 
-    def to_dict(self) -> dict[str, int]:
-        return {str(i): int(c) for i, c in enumerate(self.labels)}
-
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2))
+        ids = {str(i): int(c) for i, c in enumerate(self.labels)}
+        Path(path).write_text(json.dumps(ids, sort_keys=True, indent=2))
 
 
 @dataclass

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -342,11 +343,9 @@ def test_cli_run_and_compare(tmp_path, capsys):
 
     run1 = tmp_path / "runs" / "cli1"
     run2 = tmp_path / "runs" / "cli2"
-    report_path = tmp_path / "cmp.json"
-    rc = cli_main(["compare", "--target", "0.5", str(run1), str(run2),
-                   "--out", str(report_path)])
+    rc = cli_main(["compare", "--target", "0.5", str(run1), str(run2)])
     assert rc == 0
-    report = json.loads(report_path.read_text())
+    report = json.loads(capsys.readouterr().out)
     assert len(report["runs"]) == 2
 
 
@@ -490,6 +489,21 @@ def test_cli_rejects_unbuildable_csv_before_any_output(
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# a comment\n\n# another\n"], ids=["empty", "comments-only"])
+def test_cli_rejects_csv_without_data_rows_in_one_line(tmp_path, capsys, text):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(tmp_path, csv_path=str(csv_path)).to_dict()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli_main(["run", "--config", cfg_path.as_posix()])
+    assert rc == 1 and not caught
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_path} has no data rows\n"
+    assert not (tmp_path / "runs").exists()
+
+
 # One rule set checks synthetic and CSV sizes; a CSV's is checked against the
 # file's own classes and rows, and its errors name the file and the field.
 @pytest.mark.parametrize(
@@ -630,6 +644,26 @@ def _compare_error(good, bad, capsys) -> str:
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("run", '{"seed": 1, '), ("run", "[1, 2]"), ("compare", '{"name": ')],
+    ids=["truncated-config", "config-not-an-object", "truncated-summary"],
+)
+def test_cli_names_the_file_of_malformed_json(tmp_path, capsys, command, text):
+    if command == "run":
+        bad = tmp_path / "cfg.json"
+        bad.write_text(text)
+        rc = cli_main(["run", "--config", str(bad)])
+    else:
+        good = run_experiment(_tiny_config(tmp_path, name="good"))
+        bad = run_experiment(_tiny_config(tmp_path, name="bad")) / "summary.json"
+        bad.write_text(text)
+        rc = cli_main(["compare", "--target", "0.5", str(good), str(bad.parent)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1
 
 
 def test_cli_compare_names_missing_metrics_columns(tmp_path, capsys):
